@@ -9,7 +9,7 @@ dynamics.
 
 __version__ = "1.0.0"
 
-from .engine import SimulationState, Trajectory, evolve, make_simulation_state, step_collision
+from .engine import Trajectory, evolve
 from .metrics import (
     AmplificationResult,
     SweepResult,
@@ -27,11 +27,8 @@ __all__ = [
     "ModelConfig",
     "CouplingConfig",
     "EnvSpec",
-    "SimulationState",
     "Trajectory",
     "evolve",
-    "make_simulation_state",
-    "step_collision",
     "AmplificationResult",
     "SweepResult",
     "amplification",

@@ -17,9 +17,10 @@ with the sign chosen so that heat leaving qubit X is positive.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,24 +45,13 @@ def initial_state(n_qubits: int = 3) -> np.ndarray:
     return rho
 
 
-def _ham_signature(config: ModelConfig) -> tuple:
-    """Identity of H_tot: everything except temperatures and grids."""
-    c, e = config.coupling, config.env
-    eps = e.epsilon if e.kind == "qutrit-nonlinear" else 0.0
-    return (config.n_qubits, c.omega_L, c.omega_M, c.omega_R,
-            c.omega_ML, c.omega_MR, c.omega_LR,
-            e.kind, e.delta, eps, config.attached_terminals, config.g)
-
-
 class _Core:
     """Spectral data shared by every run with the same H_tot."""
 
     def __init__(self, config: ModelConfig):
-        self.n_sys = config.n_qubits
         self.dims = config.joint_dims()
         self.d = int(np.prod(self.dims))
-        self.d_sys = 2 ** self.n_sys
-        self.d_env = self.d // self.d_sys
+        self.d_sys = 2 ** config.n_qubits
         self.terminals = config.system_terminals
 
         h_tot = build_total_hamiltonian(config)
@@ -69,6 +59,9 @@ class _Core:
         self.w = w
         self.v = v
         self.vh = v.conj().T
+        # conj(V) with rows split as (s, e): row s holds conj(V)[(s,e),k]
+        # flattened over (e, k), transposed for system_state's GEMM
+        self.v_env = v.conj().reshape(self.d_sys, -1).T
 
         # current generators K_X = i [H_X, H_tot]; in the eigenbasis
         # K'_jk = i (H_X')_jk (w_k - w_j), so J_X = Tr(rho' K_X')
@@ -99,55 +92,50 @@ class _Core:
                 self._phases[key] = stack.reshape(n_steps, -1)
             return self._phases[key]
 
-    def reduction_map(self, what) -> np.ndarray:
-        """Map from eigenbasis rho' to a reduced state.
+    def system_state(self, b_flat: np.ndarray) -> np.ndarray:
+        """Tr_env(V b V^dagger) for an eigenbasis operator b, Hermitized."""
+        # rho[s,t] = sum_{e,k} (V b)[(s,e),k] conj(V)[(t,e),k]
+        m = (self.v @ b_flat.reshape(self.d, self.d)).reshape(self.d_sys, -1)
+        rho = m @ self.v_env
+        return (rho + rho.conj().T) / 2.0
 
-        ``what`` is "sys" for the full qubit register or a system site
-        index for a single qubit.  Returns G with shape (d*d, k*k) so
-        that vec(rho_red) = vec(rho') @ G.
+    def reduction_map(self, site: int) -> np.ndarray:
+        """Map from eigenbasis rho' to the reduced state of one site.
+
+        Returns G with shape (d*d, k*k) so that vec(rho_site) =
+        vec(rho') @ G.
         """
         with self._lock:
-            if what not in self._maps:
-                if what == "sys":
-                    pre, k, post = 1, self.d_sys, self.d_env
-                else:
-                    site = int(what)
-                    k = self.dims[site]
-                    pre = int(np.prod(self.dims[:site])) if site else 1
-                    post = int(np.prod(self.dims[site + 1:]))
+            if site not in self._maps:
+                k = self.dims[site]
+                pre = int(np.prod(self.dims[:site])) if site else 1
+                post = int(np.prod(self.dims[site + 1:]))
                 vg = self.v.reshape(pre, k, post, self.d)
                 # G[jk,ab] = sum_{u,v} vg[u,a,v,j] conj(vg)[u,b,v,k];
                 # contracting u,v first keeps it a single GEMM
                 m = np.tensordot(vg, vg.conj(), axes=([0, 2], [0, 2]))
                 g = m.transpose(1, 3, 0, 2)  # (a,j,b,k) -> (j,k,a,b)
-                self._maps[what] = np.ascontiguousarray(
+                self._maps[site] = np.ascontiguousarray(
                     g.reshape(self.d * self.d, k * k))
-            return self._maps[what]
+            return self._maps[site]
 
 
-_CORES: "OrderedDict[tuple, _Core]" = OrderedDict()
-_CORES_LOCK = threading.Lock()
-_CORE_CAPACITY = 8
+@functools.lru_cache(maxsize=8)
+def _cached_core(key: ModelConfig) -> _Core:
+    return _Core(key)
 
 
 def _core_for(config: ModelConfig) -> _Core:
-    key = _ham_signature(config)
-    with _CORES_LOCK:
-        core = _CORES.get(key)
-        if core is not None:
-            _CORES.move_to_end(key)
-            return core
-    core = _Core(config)
-    with _CORES_LOCK:
-        _CORES[key] = core
-        while len(_CORES) > _CORE_CAPACITY:
-            _CORES.popitem(last=False)
-    return core
+    """Shared core; temperatures and grids do not enter H_tot.
 
-
-def clear_caches() -> None:
-    with _CORES_LOCK:
-        _CORES.clear()
+    Those fields are pinned to fixed values in the cache key, so configs
+    that differ only there share one core, and any other difference is a
+    cache miss.
+    """
+    env = dataclasses.replace(config.env, T_L=1.0, T_M=1.0, T_R=1.0)
+    key = dataclasses.replace(config, env=env, dt_collision=1.0,
+                              sample_dt=1.0, stencil_h=1.0)
+    return _cached_core(key)
 
 
 class Propagator:
@@ -166,20 +154,27 @@ class Propagator:
 
     def _to_eigenbasis(self, rho_sys: np.ndarray) -> np.ndarray:
         joint = np.kron(rho_sys, self.env_state)
-        return self.core.vh @ joint @ self.core.v
+        return (self.core.vh @ joint @ self.core.v).reshape(-1)
 
-    def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
-        """J_X the instant fresh ancillas are attached (tau = 0+)."""
-        a = self._to_eigenbasis(rho_sys)
-        return self._currents_from(a.reshape(1, -1))[0]
+    def _currents(self, a_flat: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """J_X at attach (tau = 0, every phase 1) and after each phase row.
 
-    def _currents_from(self, rho_flat: np.ndarray) -> np.ndarray:
-        cur = rho_flat @ self.core.k_flat.T
-        worst = float(np.max(np.abs(cur.imag))) if cur.size else 0.0
+        Returns shape (1 + len(phases), n_terminals).
+        """
+        # J(tau_s) = sum_jk a_jk P_s,jk K_kj, precontract a*K
+        weighted = a_flat[None, :] * self.core.k_flat
+        cur = np.concatenate([weighted.sum(axis=1)[None, :],
+                              phases @ weighted.T])
+        worst = float(np.max(np.abs(cur.imag)))
         if worst > _IMAG_TOL:
             raise FloatingPointError(
                 f"current has imaginary residue {worst:.3e}")
         return np.ascontiguousarray(cur.real)
+
+    def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
+        """J_X the instant fresh ancillas are attached (tau = 0+)."""
+        return self._currents(self._to_eigenbasis(rho_sys),
+                              self.phase_stack[:0])[0]
 
     def collision(self, rho_sys: np.ndarray, reduced=None):
         """Evolve one window from ``rho_sys``.
@@ -191,100 +186,22 @@ class Propagator:
         ``reduced`` ("sys" or a terminal letter), or None.
         """
         core = self.core
-        a = self._to_eigenbasis(rho_sys)
-        a_flat = a.reshape(-1)
+        a_flat = self._to_eigenbasis(rho_sys)
+        cur = self._currents(a_flat, self.phase_stack)
+        rho_end = core.system_state(a_flat * self.phase_stack[-1])
 
-        # currents: J(tau_s) = sum_jk a_jk P_s,jk K_kj, precontract a*K
-        weighted = a_flat[None, :] * core.k_flat
-        cur = self.phase_stack @ weighted.T
-        worst = float(np.max(np.abs(cur.imag))) if cur.size else 0.0
-        if worst > _IMAG_TOL:
-            raise FloatingPointError(
-                f"current has imaginary residue {worst:.3e}")
-        currents = np.ascontiguousarray(cur.real)
-        attach = self._currents_from(a_flat.reshape(1, -1))[0]
-
-        g_sys = core.reduction_map("sys")
         states = None
         if reduced == "sys":
-            weights = a_flat[:, None] * g_sys
-            block = self.phase_stack @ weights
-            states = block.reshape(self.n_steps, core.d_sys, core.d_sys)
-            rho_end = states[-1]
+            states = np.stack([core.system_state(a_flat * p)
+                               for p in self.phase_stack])
         elif reduced is not None:
             site = self.terminals.index(reduced)
-            g_site = core.reduction_map(site)
-            weights = a_flat[:, None] * g_site
-            block = self.phase_stack @ weights
-            k = self.config.joint_dims()[site]
+            k = core.dims[site]
+            block = self.phase_stack @ (a_flat[:, None]
+                                        * core.reduction_map(site))
             states = block.reshape(self.n_steps, k, k)
-            end_flat = (a_flat * self.phase_stack[-1]) @ g_sys
-            rho_end = end_flat.reshape(core.d_sys, core.d_sys)
-        else:
-            end_flat = (a_flat * self.phase_stack[-1]) @ g_sys
-            rho_end = end_flat.reshape(core.d_sys, core.d_sys)
-
-        rho_end = (rho_end + rho_end.conj().T) / 2.0
-        if states is not None:
             states = (states + states.conj().transpose(0, 2, 1)) / 2.0
-        return rho_end, currents, attach, states
-
-
-@dataclass
-class SimulationState:
-    """Mutable cursor for stepping collision by collision."""
-
-    rho_sys: np.ndarray
-    time: float
-    collisions: int
-    propagator: Propagator = field(repr=False)
-
-
-@dataclass
-class CollisionBlock:
-    """Samples produced by one collision window."""
-
-    times: np.ndarray
-    currents: dict
-    system_states: Optional[np.ndarray]
-
-
-def make_simulation_state(config: ModelConfig,
-                          initial: Optional[np.ndarray] = None
-                          ) -> SimulationState:
-    rho = initial_state(config.n_qubits) if initial is None \
-        else np.asarray(initial, dtype=np.complex128).copy()
-    d = 2 ** config.n_qubits
-    if rho.shape != (d, d):
-        raise ValueError(
-            f"initial state must be {d}x{d} for {config.n_qubits} qubits, "
-            f"got {rho.shape}")
-    return SimulationState(rho_sys=rho, time=0.0, collisions=0,
-                           propagator=Propagator(config))
-
-
-def step_collision(state: SimulationState, config: ModelConfig,
-                   store_states: bool = False):
-    """Advance one collision window; returns (new state, samples)."""
-    if state.propagator.config != config:
-        raise ValueError(
-            "simulation state was prepared for a different configuration; "
-            "rebuild it with make_simulation_state")
-    prop = state.propagator
-    reduced = "sys" if store_states else None
-    rho_end, currents, _, states = prop.collision(state.rho_sys,
-                                                  reduced=reduced)
-    taus = config.sample_dt * np.arange(1, prop.n_steps + 1)
-    block = CollisionBlock(
-        times=state.time + taus,
-        currents={t: np.ascontiguousarray(currents[:, i])
-                  for i, t in enumerate(prop.terminals)},
-        system_states=states)
-    new_state = SimulationState(rho_sys=rho_end,
-                                time=state.time + config.dt_collision,
-                                collisions=state.collisions + 1,
-                                propagator=prop)
-    return new_state, block
+        return rho_end, cur[1:], cur[0], states
 
 
 @dataclass

@@ -47,8 +47,6 @@ _STENCIL_WEIGHTS = (1.0, -8.0, 0.0, 8.0, -1.0)  # divide by 12 h
 
 SWEEP_AXES = ("T_M", "t", "g", "epsilon")
 
-_AXIS_UNITS = {"T_M": "Ttilde", "t": "ttilde", "g": "1/ttilde", "epsilon": "1/ttilde"}
-
 
 def five_point_derivative(f: Callable[[float], float], x0: float, h: float) -> float:
     """First derivative of ``f`` at ``x0`` via the five-point central stencil."""
@@ -96,7 +94,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     axis: str
-    unit: str
     grid: np.ndarray
     values: List[SweepPoint]
 
@@ -356,8 +353,7 @@ def sweep(
         if np.any(off > 1e-9):
             raise ValueError("time grid points must be sample_dt multiples")
         points = _time_sweep(config, grid, terminals, h, divergence_tol, boundary)
-        return SweepResult(axis=axis, unit=_AXIS_UNITS[axis], grid=grid,
-                           values=points)
+        return SweepResult(axis=axis, grid=grid, values=points)
 
     if t is None:
         raise ValueError(f"axis {axis!r} needs an evaluation time t")
@@ -375,4 +371,4 @@ def sweep(
             points = list(pool.map(one, grid))
     else:
         points = [one(v) for v in grid]
-    return SweepResult(axis=axis, unit=_AXIS_UNITS[axis], grid=grid, values=points)
+    return SweepResult(axis=axis, grid=grid, values=points)

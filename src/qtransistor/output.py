@@ -67,7 +67,7 @@ def sweep_table(result: metrics.SweepResult, stem: str,
     current_terms = list(first.currents) if first else []
     alpha_terms = list(first.alphas) if first else []
     axis = axis_name or result.axis
-    columns = [(axis, AXIS_UNITS.get(result.axis, result.unit))]
+    columns = [(axis, AXIS_UNITS[result.axis])]
     columns += [(f"J_{x}", U_CURRENT) for x in current_terms]
     columns += [(f"dJ{x}_dTM", U_DERIV) for x in current_terms]
     columns += [(f"alpha_{x}", U_NONE) for x in alpha_terms]

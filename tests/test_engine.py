@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.engine import (Trajectory, evolve, initial_state,
-                                local_heat_current, make_simulation_state,
-                                step_collision)
-from qtransistor.model import (ModelConfig, ancilla_thermal_state,
+from qtransistor.engine import (Propagator, Trajectory, evolve,
+                                initial_state, local_heat_current)
+from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
                                build_total_hamiltonian)
 
 
@@ -55,19 +56,16 @@ def test_first_collision_changes_the_state():
 
 def test_step_collision_matches_evolve():
     cfg = coarse()
-    state = make_simulation_state(cfg)
-    state, block1 = step_collision(state, cfg)
-    state, block2 = step_collision(state, cfg)
-    assert state.collisions == 2 and state.time == pytest.approx(1.0)
+    prop = Propagator(cfg)
+    rho, cur1, attach, _ = prop.collision(initial_state(3))
+    rho, cur2, _, _ = prop.collision(rho)
 
-    traj = evolve(cfg, 1.0)
-    stitched = np.concatenate([block1.currents["L"], block2.currents["L"]])
-    assert np.allclose(stitched, traj.currents["L"][1:], atol=1e-12)
-    assert np.allclose(block1.times, traj.times[1:6])
-
-    other = make_simulation_state(coarse(g=3.0))
-    with pytest.raises(ValueError):
-        step_collision(other, cfg)
+    traj = evolve(cfg, 1.0, store_states=True)
+    stitched = np.concatenate([cur1, cur2])
+    for i, x in enumerate(("L", "M", "R")):
+        assert np.allclose(stitched[:, i], traj.currents[x][1:], atol=1e-12)
+        assert attach[i] == pytest.approx(traj.currents[x][0], abs=1e-12)
+    assert np.max(np.abs(rho - traj.system_states[-1])) < 1e-12
 
 
 def test_evolve_against_brute_force_unitary():
@@ -219,3 +217,65 @@ def test_custom_initial_state():
     traj = evolve(cfg, 0.5, store_states=True, initial=rho0)
     assert np.allclose(traj.system_states[0], rho0)
     assert la.trace_distance(traj.system_states[-1], rho0) > 0.01
+
+
+# ------------------------------------------------ map-free path, any model
+
+@st.composite
+def small_models(draw):
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(ENV_KINDS))
+    over = dict(n_qubits=n, kind=kind, sample_dt=0.25,
+                g=draw(st.floats(0.0, 6.0)),
+                epsilon=draw(st.floats(-1.0, 1.0)))
+    for x in ("L", "M", "R"):
+        over[f"attach_{x}"] = draw(st.booleans())
+    return ModelConfig.default(**over)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_models())
+def test_evolve_matches_brute_force_for_any_model(cfg):
+    traj = evolve(cfg, 1.0, store_states=True)
+    h = build_total_hamiltonian(cfg)
+    dims = cfg.joint_dims()
+    sites = list(range(cfg.n_qubits))
+    rho_sys = initial_state(cfg.n_qubits)
+    k = 0
+    for _ in range(2):  # collisions
+        joint0 = la.kron(rho_sys, env_product(cfg))
+        for s in (1, 2):
+            u = la.unitary_exp(h, s * cfg.sample_dt)
+            k += 1
+            ref = la.partial_trace(u @ joint0 @ u.conj().T, dims, sites)
+            assert np.max(np.abs(ref - traj.system_states[k])) < 1e-12
+        rho_sys = ref
+    for rho in traj.system_states:
+        assert la.is_density_matrix(rho)
+
+    for i, x in enumerate(cfg.system_terminals):
+        marg = evolve(cfg, 1.0, marginal_terminal=x).qubit_states[x]
+        ref = np.stack([la.partial_trace(r, [2] * cfg.n_qubits, [i])
+                        for r in traj.system_states])
+        assert np.max(np.abs(marg - ref)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models(), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
+       st.sampled_from((0.01, 0.05, 0.25)), st.sampled_from((0.5, 1.0)),
+       st.sampled_from((None, "g", "epsilon", "kind", "attach_R")))
+def test_cores_shared_exactly_across_temperatures_and_grids(
+        cfg, t_m, t_r, sample_dt, dt_collision, changed):
+    other = cfg.replace(T_M=t_m, T_R=t_r, sample_dt=sample_dt,
+                        dt_collision=dt_collision, stencil_h=0.1)
+    if changed == "g":
+        other = other.replace(g=cfg.g + 1.0)
+    elif changed == "epsilon":
+        other = other.replace(epsilon=cfg.env.epsilon + 0.5)
+    elif changed == "kind":
+        other = other.replace(
+            kind="qubit" if cfg.env.kind != "qubit" else "qutrit-linear")
+    elif changed == "attach_R":
+        other = other.replace(attach_R=not cfg.env.attach_R)
+    same = Propagator(cfg).core is Propagator(other).core
+    assert same == (changed is None)

@@ -240,8 +240,7 @@ def test_epsilon_sweep_requires_nonlinear_ancillas():
 
 def test_sweep_result_shape_demands_one_record_per_point():
     with pytest.raises(ValueError, match="one record per grid point"):
-        SweepResult(axis="T_M", unit="Ttilde", grid=np.array([1.0, 2.0]),
-                    values=[])
+        SweepResult(axis="T_M", grid=np.array([1.0, 2.0]), values=[])
 
 
 # --------------------------------------------- amplification sign structure
