@@ -28,7 +28,7 @@ import numpy as np
 from .metrics import SWEEP_AXES
 from .model import COUPLING_PRESETS, ENV_KINDS, ModelConfig, TERMINALS
 from .nonmarkov import SearchConfig
-from .scenarios import scenario_names
+from .scenarios import RUN_OVERRIDE_KEYS, _make_config, scenario_names
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config",
            "parse_set_overrides", "manifest_parameters"]
@@ -171,12 +171,10 @@ class RunConfig:
 
     def model_overrides(self) -> Dict[str, Any]:
         return {k: v for k, v in self.overrides.items()
-                if k not in ("t", "t_max")}
+                if k not in RUN_OVERRIDE_KEYS}
 
     def resolved_model(self) -> ModelConfig:
-        over = self.model_overrides()
-        preset = over.pop("preset", "baseline")
-        return ModelConfig.default(preset, **over)
+        return _make_config(self.model_overrides())
 
 
 def _problem_order(problem: str) -> Tuple[int, str]:
@@ -321,7 +319,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(sorted(problems, key=_problem_order))
 
     overrides = dict(values["model"])
-    for k in ("t", "t_max"):
+    for k in RUN_OVERRIDE_KEYS:
         if k in run:
             overrides[k] = run[k]
 
@@ -346,7 +344,7 @@ _SET_KEYS: Dict[str, Tuple[str, _Key]] = {}
 for _table_name, _table in (("model", _MODEL_KEYS), ("blp", _BLP_KEYS)):
     for _k, _spec in _table.items():
         _SET_KEYS[_k] = (_table_name, _spec)
-for _k in ("t", "t_max"):
+for _k in RUN_OVERRIDE_KEYS:
     _SET_KEYS[_k] = ("run", _RUN_KEYS[_k])
 
 

@@ -6,8 +6,10 @@ the total Hamiltonian for one window, intra-window samples are recorded,
 and the ancillas are traced out and discarded.  Windows are back to
 back; there is no free evolution between them.
 
-The total Hamiltonian is diagonalized once per parameter set and cached,
-so a collision costs a basis change plus elementwise phase evolution.
+The total Hamiltonian (eigenvalues w) is diagonalized once per parameter
+set and cached; a sample at tau into a window is then fixed by the phase
+vector u = exp(-i tau w), and every observable is one contraction of the
+attach-time eigenbasis state with u.
 Heat currents come from the conserved-commutator form
 
     J_X = -Tr(rhodot_X H_X),   rhodot_X = Tr_rest(-i [H_tot, rho]),
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,58 +67,50 @@ class _Core:
         # current generators K_X = i [H_X, H_tot]; in the eigenbasis
         # K'_jk = i (H_X')_jk (w_k - w_j), so J_X = Tr(rho' K_X')
         gap = w[None, :] - w[:, None]
-        rows = []
+        ops = []
         for i, t in enumerate(self.terminals):
             h_x = -(config.splitting(t) / 2.0) * embed(
                 SpinOps.sz_half, i, self.dims)
             h_x_eig = self.vh @ h_x @ self.v
-            k_eig = 1j * h_x_eig * gap
-            rows.append(k_eig.T.reshape(-1))  # flattened K^T for the GEMM
-        self.k_flat = np.stack(rows)  # (n_terminals, d*d)
+            ops.append((1j * h_x_eig * gap).T)
+        self.current_ops = np.stack(ops)  # K^T per terminal
 
-        self._lock = threading.Lock()
-        self._phases: dict = {}
-        self._maps: dict = {}
+        # filled on demand; a race between threads only repeats the work
+        self._site_ops: dict = {}
 
-    def phases(self, sample_dt: float, n_steps: int) -> np.ndarray:
-        """Stack of eigenbasis propagators for tau = sample_dt .. window."""
-        key = (sample_dt, n_steps)
-        with self._lock:
-            if key not in self._phases:
-                taus = sample_dt * np.arange(1, n_steps + 1)
-                gap = self.w[:, None] - self.w[None, :]
-                stack = np.exp(-1j * np.multiply.outer(taus, gap))
-                if len(self._phases) >= 4:  # keep the cache small
-                    self._phases.pop(next(iter(self._phases)))
-                self._phases[key] = stack.reshape(n_steps, -1)
-            return self._phases[key]
-
-    def system_state(self, b_flat: np.ndarray) -> np.ndarray:
+    def system_state(self, b: np.ndarray) -> np.ndarray:
         """Tr_env(V b V^dagger) for an eigenbasis operator b, Hermitized."""
         # rho[s,t] = sum_{e,k} (V b)[(s,e),k] conj(V)[(t,e),k]
-        m = (self.v @ b_flat.reshape(self.d, self.d)).reshape(self.d_sys, -1)
+        m = (self.v @ b).reshape(self.d_sys, -1)
         rho = m @ self.v_env
         return (rho + rho.conj().T) / 2.0
 
-    def reduction_map(self, site: int) -> np.ndarray:
-        """Map from eigenbasis rho' to the reduced state of one site.
+    def site_ops(self, site: int) -> np.ndarray:
+        """Eigenbasis operators O_ab with rho_site[a, b] = Tr(rho' O_ab),
+        returned transposed as shape (k*k, d, d), row a*k + b."""
+        if site not in self._site_ops:
+            k = self.dims[site]
+            pre = int(np.prod(self.dims[:site])) if site else 1
+            post = int(np.prod(self.dims[site + 1:]))
+            vg = self.v.reshape(pre, k, post, self.d)
+            # O^T[ab,jk] = sum_{u,v} vg[u,a,v,j] conj(vg)[u,b,v,k];
+            # contracting u,v first keeps it a single GEMM
+            m = np.tensordot(vg, vg.conj(), axes=([0, 2], [0, 2]))
+            ops = m.transpose(0, 2, 1, 3).reshape(k * k, self.d, self.d)
+            self._site_ops.setdefault(site, np.ascontiguousarray(ops))
+        return self._site_ops[site]
 
-        Returns G with shape (d*d, k*k) so that vec(rho_site) =
-        vec(rho') @ G.
-        """
-        with self._lock:
-            if site not in self._maps:
-                k = self.dims[site]
-                pre = int(np.prod(self.dims[:site])) if site else 1
-                post = int(np.prod(self.dims[site + 1:]))
-                vg = self.v.reshape(pre, k, post, self.d)
-                # G[jk,ab] = sum_{u,v} vg[u,a,v,j] conj(vg)[u,b,v,k];
-                # contracting u,v first keeps it a single GEMM
-                m = np.tensordot(vg, vg.conj(), axes=([0, 2], [0, 2]))
-                g = m.transpose(1, 3, 0, 2)  # (a,j,b,k) -> (j,k,a,b)
-                self._maps[site] = np.ascontiguousarray(
-                    g.reshape(self.d * self.d, k * k))
-            return self._maps[site]
+
+def _expectations(a: np.ndarray, ops_t: np.ndarray,
+                  phases: np.ndarray) -> np.ndarray:
+    """Tr(rho'(tau_s) O), shape (len(phases), len(ops_t)), for the
+    eigenbasis attach state ``a`` and operators given as transposes.
+
+    rho'(tau_s)_jk = a_jk u_sj conj(u_sk), so the trace is one batched
+    GEMM over k followed by a row-wise contraction over j.
+    """
+    half = (a[None] * ops_t) @ phases.conj().T  # (n_ops, d, n_rows)
+    return np.einsum("sj,mjs->sm", phases, half)
 
 
 @functools.lru_cache(maxsize=8)
@@ -145,7 +138,10 @@ class Propagator:
         self.config = config
         self.core = _core_for(config)
         self.n_steps = config.samples_per_collision
-        self.phase_stack = self.core.phases(config.sample_dt, self.n_steps)
+        # row s holds exp(-i tau_s w) at tau_s = s * sample_dt; row 0 is
+        # the attach instant, where every phase is 1
+        taus = config.sample_dt * np.arange(self.n_steps + 1)
+        self.phases = np.exp(-1j * np.multiply.outer(taus, self.core.w))
         fresh = [ancilla_thermal_state(config.env, t)
                  for t in config.attached_terminals]
         self.env_state = kron(*fresh) if fresh else np.eye(
@@ -154,17 +150,11 @@ class Propagator:
 
     def _to_eigenbasis(self, rho_sys: np.ndarray) -> np.ndarray:
         joint = np.kron(rho_sys, self.env_state)
-        return (self.core.vh @ joint @ self.core.v).reshape(-1)
+        return self.core.vh @ joint @ self.core.v
 
-    def _currents(self, a_flat: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """J_X at attach (tau = 0, every phase 1) and after each phase row.
-
-        Returns shape (1 + len(phases), n_terminals).
-        """
-        # J(tau_s) = sum_jk a_jk P_s,jk K_kj, precontract a*K
-        weighted = a_flat[None, :] * self.core.k_flat
-        cur = np.concatenate([weighted.sum(axis=1)[None, :],
-                              phases @ weighted.T])
+    def _currents(self, a: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """J_X for each phase row, shape (len(phases), n_terminals)."""
+        cur = _expectations(a, self.core.current_ops, phases)
         worst = float(np.max(np.abs(cur.imag)))
         if worst > _IMAG_TOL:
             raise FloatingPointError(
@@ -174,7 +164,7 @@ class Propagator:
     def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
         """J_X the instant fresh ancillas are attached (tau = 0+)."""
         return self._currents(self._to_eigenbasis(rho_sys),
-                              self.phase_stack[:0])[0]
+                              self.phases[:1])[0]
 
     def collision(self, rho_sys: np.ndarray, reduced=None):
         """Evolve one window from ``rho_sys``.
@@ -186,20 +176,20 @@ class Propagator:
         ``reduced`` ("sys" or a terminal letter), or None.
         """
         core = self.core
-        a_flat = self._to_eigenbasis(rho_sys)
-        cur = self._currents(a_flat, self.phase_stack)
-        rho_end = core.system_state(a_flat * self.phase_stack[-1])
+        a = self._to_eigenbasis(rho_sys)
+        cur = self._currents(a, self.phases)
+        u = self.phases[-1]
+        rho_end = core.system_state(a * np.outer(u, u.conj()))
 
         states = None
         if reduced == "sys":
-            states = np.stack([core.system_state(a_flat * p)
-                               for p in self.phase_stack])
+            states = np.stack([core.system_state(a * np.outer(u, u.conj()))
+                               for u in self.phases[1:]])
         elif reduced is not None:
             site = self.terminals.index(reduced)
             k = core.dims[site]
-            block = self.phase_stack @ (a_flat[:, None]
-                                        * core.reduction_map(site))
-            states = block.reshape(self.n_steps, k, k)
+            states = _expectations(a, core.site_ops(site),
+                                   self.phases[1:]).reshape(-1, k, k)
             states = (states + states.conj().transpose(0, 2, 1)) / 2.0
         return rho_end, cur[1:], cur[0], states
 

@@ -22,13 +22,14 @@ re-evaluated with direct simulations before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg as la
 from .engine import evolve
+from .metrics import _collision_ceiling
 from .model import ModelConfig
 
 __all__ = [
@@ -145,14 +146,13 @@ class _ReducedMap:
             "y+": BlochState(math.pi / 2, math.pi / 2),
         }
         out = {}
-        times = None
         for name, state in basis.items():
             rho0 = _full_initial(config, terminal, state.density_matrix())
             traj = evolve(config, t_max, marginal_terminal=terminal,
                           boundary=boundary, initial=rho0)
             out[name] = traj.qubit_states[terminal]
-            times = traj.times
-        self.times = times
+        self.times = traj.times
+        self.index_at = traj.index_at
         e0 = 0.5 * (out["z+"] + out["z-"])
         self._comp = np.stack([
             out["x+"] - e0,          # Ex
@@ -217,7 +217,6 @@ def _antipodal_delta(s: BlochState) -> np.ndarray:
 
 
 def _refine_antipodal(
-    rmap: _ReducedMap,
     score,
     start: Tuple[float, float],
     step0: Tuple[float, float],
@@ -276,7 +275,7 @@ def blp_measure(
                 best_val, best_ang = val, (float(th), float(ph))
     step0 = (float(thetas[1] - thetas[0]) / 2.0, float(phis[1] - phis[0]) / 2.0)
     best_val, best_ang = _refine_antipodal(
-        rmap, score_antipodal, best_ang, step0, search.refine_tol
+        score_antipodal, best_ang, step0, search.refine_tol
     )
     s1 = BlochState(*best_ang)
     s2 = s1.antipode()
@@ -323,12 +322,15 @@ def blp_series(
     boundary: str = "left",
 ) -> np.ndarray:
     """N per cutoff time: backflow accumulated up to each cutoff, maximized
-    over antipodal pairs independently at every cutoff."""
+    over antipodal pairs independently at every cutoff.  Cutoffs must lie
+    on the sample grid; the run ends at the first window edge reaching
+    the last one."""
     cutoffs = np.asarray(list(cutoffs), dtype=float)
     if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be strictly ascending and nonempty")
-    rmap = _ReducedMap(config, terminal, float(cutoffs[-1]), boundary)
-    idx = [int(np.argmin(np.abs(rmap.times - c))) for c in cutoffs]
+    horizon = _collision_ceiling(config, float(cutoffs[-1]))
+    rmap = _ReducedMap(config, terminal, horizon, boundary)
+    idx = [rmap.index_at(c) for c in cutoffs]
 
     thetas = np.linspace(0.0, math.pi, search.grid_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
@@ -351,7 +353,7 @@ def blp_series(
 
         step0 = (float(thetas[1] - thetas[0]) / 2.0,
                  float(phis[1] - phis[0]) / 2.0)
-        val, _ = _refine_antipodal(rmap, score, flat_angles[k], step0,
+        val, _ = _refine_antipodal(score, flat_angles[k], step0,
                                    search.refine_tol)
         out[j] = max(out[j], val)
     return out

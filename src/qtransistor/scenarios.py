@@ -28,6 +28,7 @@ __all__ = [
     "Scenario",
     "RunContext",
     "SCENARIOS",
+    "RUN_OVERRIDE_KEYS",
     "scenario_names",
     "build_tables",
 ]
@@ -52,12 +53,13 @@ class Scenario:
 
 
 # run-level keys recognized in overrides; the rest go to the model config
-_RUN_KEYS = {"t", "t_max"}
+RUN_OVERRIDE_KEYS = ("t", "t_max")
 
 
 def _split_overrides(overrides: Optional[Dict]) -> Tuple[Dict, Dict]:
     overrides = dict(overrides or {})
-    run = {k: overrides.pop(k) for k in list(overrides) if k in _RUN_KEYS}
+    run = {k: overrides.pop(k) for k in list(overrides)
+           if k in RUN_OVERRIDE_KEYS}
     return run, overrides
 
 

@@ -237,19 +237,42 @@ def small_models(draw):
 @given(small_models())
 def test_evolve_matches_brute_force_for_any_model(cfg):
     traj = evolve(cfg, 1.0, store_states=True)
+    right = evolve(cfg, 1.0, boundary="right")
     h = build_total_hamiltonian(cfg)
     dims = cfg.joint_dims()
     sites = list(range(cfg.n_qubits))
+
+    def currents(joint):
+        return [local_heat_current(joint, h, x, cfg)
+                for x in cfg.system_terminals]
+
+    # per sample: brute-force currents seen from the left and the right;
+    # they differ only at window edges, where "right" holds the fresh-
+    # ancilla (tau = 0) value
+    ref_left, ref_right = [], []
     rho_sys = initial_state(cfg.n_qubits)
     k = 0
-    for _ in range(2):  # collisions
+    for c in range(2):  # collisions
         joint0 = la.kron(rho_sys, env_product(cfg))
+        attach = currents(joint0)
+        if c == 0:
+            ref_left.append(attach)
+            ref_right.append(attach)
+        else:
+            ref_right[-1] = attach
         for s in (1, 2):
             u = la.unitary_exp(h, s * cfg.sample_dt)
             k += 1
-            ref = la.partial_trace(u @ joint0 @ u.conj().T, dims, sites)
+            joint = u @ joint0 @ u.conj().T
+            ref = la.partial_trace(joint, dims, sites)
             assert np.max(np.abs(ref - traj.system_states[k])) < 1e-12
+            ref_left.append(currents(joint))
+            ref_right.append(ref_left[-1])
         rho_sys = ref
+    ref_right[-1] = currents(la.kron(rho_sys, env_product(cfg)))
+    for tr, refs in ((traj, ref_left), (right, ref_right)):
+        got = np.stack([tr.currents[x] for x in cfg.system_terminals], 1)
+        assert np.max(np.abs(got - np.array(refs))) < 1e-10
     for rho in traj.system_states:
         assert la.is_density_matrix(rho)
 

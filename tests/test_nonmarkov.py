@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qtransistor import cli
 from qtransistor import linalg as la
 from qtransistor.model import ModelConfig
 from qtransistor.nonmarkov import (BlochState, SearchConfig, blp_measure,
@@ -171,6 +172,28 @@ def test_series_cutoffs_validated():
         blp_series(coarse(), "M", [], SMALL)
     with pytest.raises(ValueError, match="ascending"):
         blp_series(coarse(), "M", [1.0, 0.5], SMALL)
+
+
+def test_series_cutoffs_sit_exactly_on_the_sample_grid(tmp_path):
+    cfg = coarse()
+    tenths = np.round(np.arange(1, 11) / 10.0, 10)
+    full = blp_series(cfg, "M", tenths, SMALL)
+    # 0.7 ends inside a collision window; the run must still reach it
+    part = blp_series(cfg, "M", tenths[:7], SMALL)
+    assert part.shape == (7,)
+    assert np.array_equal(part, full[:7])
+    with pytest.raises(ValueError, match="sample grid"):
+        blp_series(cfg, "M", [0.13], SMALL)
+
+    out = tmp_path / "fig12"
+    code = cli.main(["run", "--scenario", "fig12", "--set", "t_max=0.7",
+                     "--set", "sample_dt=0.1", "--set", "grid_theta=3",
+                     "--set", "grid_phi=4", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    for preset in ("baseline", "symmetric", "asymmetric"):
+        csv = out / f"fig12_{preset}.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 7  # header + one row per cutoff
 
 
 def test_series_is_monotone_and_meets_the_full_measure(measured_M):
