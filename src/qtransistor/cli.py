@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override a model/time/blp parameter (repeatable)")
     run.add_argument("--out", metavar="DIR", help="output directory")
     run.add_argument("--workers", type=int, metavar="N",
-                     help="concurrent grid points (default 1)")
+                     help="recorded in the manifest; grid points run in "
+                          "series (default 1)")
     run.add_argument("--boundary", choices=("left", "right"),
                      help="window-edge current convention (default left)")
 
@@ -84,6 +85,10 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         if overrides:
             rc = dataclasses.replace(
                 rc, overrides={**rc.overrides, **overrides})
+        if rc.sweep is not None and "t" in overrides:
+            # --set t beats [sweep] t and [run] t like any other --set
+            rc = dataclasses.replace(
+                rc, sweep=dataclasses.replace(rc.sweep, t=overrides["t"]))
     else:
         if args.scenario not in SCENARIOS:
             raise ConfigError(
@@ -121,13 +126,10 @@ def _resolve_out_dir(rc: RunConfig) -> Path:
 def _sweep_tables(rc: RunConfig):
     spec = rc.sweep
     model = rc.resolved_model()
-    result = metrics.sweep(
-        model, spec.axis, spec.grid(), spec.terminals, t=spec.t,
-        h=model.stencil_h, boundary=rc.boundary, workers=rc.workers)
-    axis_name = None
-    if spec.axis == "T_M" and model.n_qubits == 2:
-        axis_name = "T_L"  # the two-qubit device modulates its left bath
-    return [sweep_table(result, f"sweep_{spec.axis}", axis_name)]
+    result = metrics.sweep(model, spec.axis, spec.grid(), spec.terminals,
+                           t=spec.t, boundary=rc.boundary)
+    return [sweep_table(result, f"sweep_{spec.axis}",
+                        model.modulating_terminal)]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -135,7 +137,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = _resolve_out_dir(rc)
     t0 = time.perf_counter()
     if rc.scenario is not None:
-        tables = build_tables(rc.scenario, rc.overrides, workers=rc.workers,
+        tables = build_tables(rc.scenario, rc.overrides,
                               boundary=rc.boundary, search=rc.search)
     else:
         tables = _sweep_tables(rc)

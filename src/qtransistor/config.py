@@ -3,6 +3,7 @@
 A run is configured by an INI document with up to four sections:
 
     [run]    scenario / output directory / workers / boundary / times
+             (workers is recorded in the manifest; points run in series)
     [model]  physical parameters (couplings, temperatures, ancilla kind)
     [sweep]  an explicit one-axis sweep (alternative to a scenario)
     [blp]    search settings for the memory-measure scenarios
@@ -134,7 +135,6 @@ _BLP_KEYS: Dict[str, _Key] = {
     "grid_theta": _ikey(lambda v: v >= 2, "must be >= 2"),
     "grid_phi": _ikey(lambda v: v >= 2, "must be >= 2"),
     "refine_tol": _fkey(*_POS),
-    "general_pairs": _bkey(),
 }
 
 _SECTIONS = {"run": _RUN_KEYS, "model": _MODEL_KEYS, "sweep": _SWEEP_KEYS,
@@ -165,7 +165,7 @@ class RunConfig:
     sweep: Optional[SweepSpec]
     overrides: Dict[str, Any]          # model keys plus t / t_max
     out_dir: Optional[str] = None
-    workers: int = 1
+    workers: int = 1                   # recorded only; points run in series
     boundary: str = "left"
     search: SearchConfig = SearchConfig()
 

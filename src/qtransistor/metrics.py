@@ -10,21 +10,20 @@ Derivatives use the five-point central stencil
 
     f'(x) ~ [f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)] / (12 h)
 
-with h = 0.05 by default (error O(h^4)).  One stencil evaluation means five
-full dynamics runs — the five runs are shared across terminals, and for time
-sweeps across every requested time as well.
+with h = ``ModelConfig.stencil_h`` (0.05 by default, error O(h^4)).  One
+stencil evaluation means five full dynamics runs — the five runs are shared
+across terminals, and for time sweeps across every requested time as well.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Trajectory, evolve
+from .engine import evolve
 from .model import ModelConfig
 
 __all__ = [
@@ -107,23 +106,6 @@ class SweepResult:
             raise ValueError("one record per grid point required")
 
 
-def _stencil_runs(
-    config: ModelConfig, t_max: float, h: float, boundary: str
-) -> Dict[float, Trajectory]:
-    """Five full runs at modulating temperatures T + k*h, k in -2..2."""
-    mod = config.modulating_terminal
-    T0 = config.env.temperature(mod)
-    if T0 - 2.0 * h <= 0.0:
-        raise ValueError(
-            f"stencil leaves the physical domain: T_{mod} - 2h = {T0 - 2 * h}"
-        )
-    runs = {}
-    for k in _STENCIL_OFFSETS:
-        cfg = config.with_temperature(mod, T0 + k * h)
-        runs[k] = evolve(cfg, t_max, boundary=boundary)
-    return runs
-
-
 def _collision_ceiling(config: ModelConfig, t: float) -> float:
     """Smallest whole-collision horizon covering time ``t``."""
     dt = config.dt_collision
@@ -131,26 +113,33 @@ def _collision_ceiling(config: ModelConfig, t: float) -> float:
     return n * dt
 
 
-def _series_at(traj: Trajectory, times: Sequence[float]) -> Dict[str, np.ndarray]:
-    idx = [traj.index_at(t) for t in times]
-    return {x: traj.currents[x][idx] for x in traj.currents}
-
-
-def _derivative_series(
-    runs: Dict[float, Trajectory], times: Sequence[float], h: float
+def _stencil(
+    config: ModelConfig, times: Sequence[float], boundary: str
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """(currents at center, dJ/dT) per terminal, each an array over ``times``."""
-    per_run = {k: _series_at(tr, times) for k, tr in runs.items()}
-    terminals = list(per_run[0.0])
-    center = {x: per_run[0.0][x] for x in terminals}
-    deriv = {}
-    for x in terminals:
-        acc = np.zeros(len(times))
-        for k, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-            if w != 0.0:
-                acc += w * per_run[k][x]
-        deriv[x] = acc / (12.0 * h)
-    return center, deriv
+    """(currents at centre, dJ/dT_mod) per terminal, each over ``times``.
+
+    Five full runs with the modulating bath at T + k*h, k in -2..2 and
+    h = ``config.stencil_h``, each to the collision ceiling of the last time.
+    """
+    mod = config.modulating_terminal
+    h = config.stencil_h
+    T0 = config.env.temperature(mod)
+    if T0 - 2.0 * h <= 0.0:
+        raise ValueError(
+            f"stencil leaves the physical domain: T_{mod} - 2h = {T0 - 2 * h}"
+        )
+    t_max = _collision_ceiling(config, times[-1])
+    center, acc = {}, {}
+    for k, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
+        traj = evolve(config.with_temperature(mod, T0 + k * h), t_max,
+                      boundary=boundary)
+        idx = [traj.index_at(t) for t in times]
+        for x, series in traj.currents.items():
+            if k == 0.0:
+                center[x] = series[idx]
+            else:
+                acc[x] = acc.get(x, 0.0) + w * series[idx]
+    return center, {x: a / (12.0 * h) for x, a in acc.items()}
 
 
 def current_at(
@@ -184,7 +173,6 @@ def amplification(
     config: ModelConfig,
     t: float,
     terminal: str,
-    h: float = 0.05,
     *,
     divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
@@ -195,8 +183,7 @@ def amplification(
     mod = config.modulating_terminal
     if terminal == mod:
         raise ValueError(f"terminal {terminal!r} is the modulating one")
-    runs = _stencil_runs(config, _collision_ceiling(config, t), h, boundary)
-    _, deriv = _derivative_series(runs, [t], h)
+    _, deriv = _stencil(config, [t], boundary)
     return _alpha_from(
         terminal, t, float(deriv[terminal][0]), float(deriv[mod][0]), divergence_tol
     )
@@ -207,7 +194,6 @@ def find_critical_TM(
     t: float,
     bracket: Tuple[float, float],
     *,
-    h: float = 0.05,
     tol: float = 1e-3,
     max_iter: int = 40,
     boundary: str = "left",
@@ -221,12 +207,9 @@ def find_critical_TM(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bad bracket {bracket}")
-    t_max = _collision_ceiling(config, t)
 
     def djm(T: float) -> float:
-        cfg = config.with_temperature(mod, T)
-        runs = _stencil_runs(cfg, t_max, h, boundary)
-        _, deriv = _derivative_series(runs, [t], h)
+        _, deriv = _stencil(config.with_temperature(mod, T), [t], boundary)
         return float(deriv[mod][0])
 
     f_lo, f_hi = djm(lo), djm(hi)
@@ -265,45 +248,19 @@ def _point_config(config: ModelConfig, axis: str, value: float) -> ModelConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def _sweep_point(
+def _points(
     config: ModelConfig,
-    axis: str,
-    value: float,
-    t: float,
+    times: Sequence[float],
+    values: Sequence[float],
     terminals: Sequence[str],
-    h: float,
-    divergence_tol: float,
-    boundary: str,
-) -> SweepPoint:
-    cfg = _point_config(config, axis, value)
-    mod = cfg.modulating_terminal
-    runs = _stencil_runs(cfg, _collision_ceiling(cfg, t), h, boundary)
-    center, deriv = _derivative_series(runs, [t], h)
-    currents = {x: float(center[x][0]) for x in center}
-    derivatives = {x: float(deriv[x][0]) for x in deriv}
-    alphas = {
-        x: _alpha_from(x, t, derivatives[x], derivatives[mod], divergence_tol)
-        for x in terminals
-    }
-    return SweepPoint(value=value, currents=currents, derivatives=derivatives,
-                      alphas=alphas)
-
-
-def _time_sweep(
-    config: ModelConfig,
-    grid: np.ndarray,
-    terminals: Sequence[str],
-    h: float,
     divergence_tol: float,
     boundary: str,
 ) -> List[SweepPoint]:
-    # one batch of five runs covers every requested time
+    """One point per (time, axis value) pair, all from one stencil."""
     mod = config.modulating_terminal
-    runs = _stencil_runs(config, _collision_ceiling(config, float(grid[-1])), h,
-                         boundary)
-    center, deriv = _derivative_series(runs, grid, h)
+    center, deriv = _stencil(config, times, boundary)
     points = []
-    for i, tv in enumerate(grid):
+    for i, (tv, value) in enumerate(zip(times, values)):
         currents = {x: float(center[x][i]) for x in center}
         derivatives = {x: float(deriv[x][i]) for x in deriv}
         alphas = {
@@ -311,7 +268,7 @@ def _time_sweep(
                            divergence_tol)
             for x in terminals
         }
-        points.append(SweepPoint(value=float(tv), currents=currents,
+        points.append(SweepPoint(value=float(value), currents=currents,
                                  derivatives=derivatives, alphas=alphas))
     return points
 
@@ -323,7 +280,6 @@ def sweep(
     terminals: Optional[Sequence[str]] = None,
     *,
     t: Optional[float] = None,
-    h: float = 0.05,
     divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
     workers: int = 1,
@@ -331,8 +287,8 @@ def sweep(
     """Amplification and currents along one parameter axis.
 
     ``axis`` is one of T_M / t / g / epsilon.  For every axis except ``t`` the
-    evaluation time ``t`` is required; grid points are independent and may be
-    computed concurrently (``workers``), with results merged in grid order.
+    evaluation time ``t`` is required.  Grid points run in series, whatever
+    ``workers`` says; the argument is kept for callers that record it.
     Per-point failures are recorded on the point and do not abort the sweep.
     """
     if axis not in SWEEP_AXES:
@@ -352,23 +308,22 @@ def sweep(
         off = np.abs(grid / sd - np.round(grid / sd))
         if np.any(off > 1e-9):
             raise ValueError("time grid points must be sample_dt multiples")
-        points = _time_sweep(config, grid, terminals, h, divergence_tol, boundary)
+        # one stencil covers every requested time
+        points = _points(config, grid, grid, terminals, divergence_tol,
+                         boundary)
         return SweepResult(axis=axis, grid=grid, values=points)
 
     if t is None:
         raise ValueError(f"axis {axis!r} needs an evaluation time t")
 
-    def one(value: float) -> SweepPoint:
+    points = []
+    for value in grid:
         try:
-            return _sweep_point(config, axis, float(value), t, terminals, h,
-                                divergence_tol, boundary)
+            cfg = _point_config(config, axis, float(value))
+            points += _points(cfg, [t], [value], terminals, divergence_tol,
+                              boundary)
         except Exception as exc:  # recorded per point, sweep continues
-            return SweepPoint(value=float(value), currents={}, derivatives={},
-                              alphas={}, error=f"{type(exc).__name__}: {exc}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(one, grid))
-    else:
-        points = [one(v) for v in grid]
+            points.append(SweepPoint(value=float(value), currents={},
+                                     derivatives={}, alphas={},
+                                     error=f"{type(exc).__name__}: {exc}"))
     return SweepResult(axis=axis, grid=grid, values=points)

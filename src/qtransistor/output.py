@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import __version__, metrics
 
@@ -61,15 +61,19 @@ class Table:
 
 
 def sweep_table(result: metrics.SweepResult, stem: str,
-                axis_name: Optional[str] = None) -> Table:
-    """Full per-point table for one sweep: currents, derivatives, alphas."""
+                modulating: str = "M") -> Table:
+    """Full per-point table for one sweep: currents, derivatives, alphas.
+
+    The temperature axis and the derivative columns are named after the
+    ``modulating`` terminal (``L`` on the two-qubit device).
+    """
     first = next((p for p in result.values if not p.error), None)
     current_terms = list(first.currents) if first else []
     alpha_terms = list(first.alphas) if first else []
-    axis = axis_name or result.axis
+    axis = f"T_{modulating}" if result.axis == "T_M" else result.axis
     columns = [(axis, AXIS_UNITS[result.axis])]
     columns += [(f"J_{x}", U_CURRENT) for x in current_terms]
-    columns += [(f"dJ{x}_dTM", U_DERIV) for x in current_terms]
+    columns += [(f"dJ{x}_dT{modulating}", U_DERIV) for x in current_terms]
     columns += [(f"alpha_{x}", U_NONE) for x in alpha_terms]
     n_data = len(current_terms) * 2 + len(alpha_terms)
     rows, errors = [], []

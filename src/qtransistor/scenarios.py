@@ -38,7 +38,6 @@ __all__ = [
 class RunContext:
     """Execution knobs shared by every scenario builder."""
 
-    workers: int = 1
     boundary: str = "left"
     search: nonmarkov.SearchConfig = field(
         default_factory=nonmarkov.SearchConfig)
@@ -116,12 +115,11 @@ def _fig2(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
-    res = metrics.sweep(cfg, "T_M", grid, t=t, h=cfg.stencil_h,
-                        boundary=ctx.boundary, workers=ctx.workers)
-    terms = cfg.system_terminals
-    columns = [("T_M", U_TEMP)]
+    res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
+    terms, mod = cfg.system_terminals, cfg.modulating_terminal
+    columns = [(f"T_{mod}", U_TEMP)]
     columns += [(f"J_{x}", U_CURRENT) for x in terms]
-    columns += [(f"dJ{x}_dTM", U_DERIV) for x in terms]
+    columns += [(f"dJ{x}_dT{mod}", U_DERIV) for x in terms]
     rows, errors = [], []
     for p in res.values:
         if p.error:
@@ -141,8 +139,7 @@ def _fig3(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     sweeps = []
     for g in (3.5, 4.0, 4.5):
         cfg = _make_config(model, g=g)
-        res = metrics.sweep(cfg, "T_M", grid, t=t, h=cfg.stencil_h,
-                            boundary=ctx.boundary, workers=ctx.workers)
+        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
         sweeps.append((f"alpha_L[g={g}]", res, "L"))
     return [_sweep_table("fig3", ("T_M", U_TEMP), sweeps)]
 
@@ -152,8 +149,7 @@ def _fig4(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t_max = float(run.get("t_max", 5.0))
     grid = _time_grid(cfg, t_max)
-    res = metrics.sweep(cfg, "t", grid, h=cfg.stencil_h,
-                        boundary=ctx.boundary)
+    res = metrics.sweep(cfg, "t", grid, boundary=ctx.boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
     return [_sweep_table("fig4", ("t", U_TIME), sweeps)]
 
@@ -163,8 +159,7 @@ def _fig5(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
-    res = metrics.sweep(cfg, "g", grid, t=t, h=cfg.stencil_h,
-                        boundary=ctx.boundary, workers=ctx.workers)
+    res = metrics.sweep(cfg, "g", grid, t=t, boundary=ctx.boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
     return [_sweep_table("fig5", ("g", "1/" + U_TIME), sweeps)]
 
@@ -185,7 +180,7 @@ def _fig6(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     for case, cfg in _detached_configs(model).items():
         grid = _time_grid(cfg, t_max)
         res = metrics.sweep(cfg, "t", grid, terminals=("L", "R"),
-                            h=cfg.stencil_h, boundary=ctx.boundary)
+                            boundary=ctx.boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
     return [_sweep_table("fig6", ("t", U_TIME), sweeps)]
@@ -198,8 +193,7 @@ def _fig7(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     sweeps = []
     for case, cfg in _detached_configs(model).items():
         res = metrics.sweep(cfg, "g", grid, terminals=("L", "R"), t=t,
-                            h=cfg.stencil_h, boundary=ctx.boundary,
-                            workers=ctx.workers)
+                            boundary=ctx.boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
     return [_sweep_table("fig7", ("g", "1/" + U_TIME), sweeps)]
@@ -213,12 +207,12 @@ def _fig8(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     temp_sweeps, time_sweeps = [], []
     for preset in ("symmetric", "asymmetric"):
         cfg = _make_config(model, preset=preset, allow_preset=False)
-        res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t, h=cfg.stencil_h,
-                              boundary=ctx.boundary, workers=ctx.workers)
+        res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t,
+                              boundary=ctx.boundary)
         temp_sweeps.append((f"alpha_L[{preset}]", res_T, "L"))
         temp_sweeps.append((f"alpha_R[{preset}]", res_T, "R"))
         res_t = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
-                              h=cfg.stencil_h, boundary=ctx.boundary)
+                              boundary=ctx.boundary)
         time_sweeps.append((f"alpha_L[{preset}]", res_t, "L"))
         time_sweeps.append((f"alpha_R[{preset}]", res_t, "R"))
     return [
@@ -250,8 +244,7 @@ def _fig9(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     sweeps = []
     for eps in _EPSILONS_FIG9:
         cfg = _nonlinear_config(model, eps)
-        res = metrics.sweep(cfg, "T_M", grid, t=t, h=cfg.stencil_h,
-                            boundary=ctx.boundary, workers=ctx.workers)
+        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
         sweeps.append((_eps_label(eps), res, "L"))
     return [_sweep_table("fig9", ("T_M", U_TEMP), sweeps)]
 
@@ -263,7 +256,7 @@ def _fig10(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     for eps in (0.0, -0.01, 0.01):
         cfg = _nonlinear_config(model, eps)
         res = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
-                            h=cfg.stencil_h, boundary=ctx.boundary)
+                            boundary=ctx.boundary)
         sweeps.append((_eps_label(eps), res, "L"))
     return [_sweep_table("fig10", ("t", U_TIME), sweeps)]
 
@@ -278,8 +271,7 @@ def _fig11(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
         for eps in (0.0, -0.01, 0.01):
             cfg = _nonlinear_config(model, eps, preset=preset,
                                     allow_preset=False)
-            res = metrics.sweep(cfg, "T_M", grid, t=t, h=cfg.stencil_h,
-                                boundary=ctx.boundary, workers=ctx.workers)
+            res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
             sweeps.append((_eps_label(eps), res, "L"))
         tables.append(_sweep_table(f"fig11_{preset}", ("T_M", U_TEMP),
                                    sweeps))
@@ -289,10 +281,12 @@ def _fig11(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
 def _fig12(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     run, model = _split_overrides(overrides)
     t_max = float(run.get("t_max", 3.0))
-    cutoffs = np.round(np.arange(0.1, t_max + 1e-9, 0.1), 10)
     tables = []
     for preset in ("baseline", "symmetric", "asymmetric"):
         cfg = _make_config(model, preset=preset, allow_preset=False)
+        # cutoffs about 0.1 apart, each on the sample grid
+        step = max(1, round(0.1 / cfg.sample_dt)) * cfg.sample_dt
+        cutoffs = np.round(np.arange(step, t_max + 1e-9, step), 10)
         columns = [("t", U_TIME)]
         series = {}
         for x in cfg.system_terminals:
@@ -312,12 +306,12 @@ def _fig13(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     cfg = _make_config({"kind": "qubit", **model})
     t_star = float(run.get("t", 9.7))
     t_max = float(run.get("t_max", 10.0))
-    res_t = metrics.sweep(cfg, "t", _time_grid(cfg, t_max), h=cfg.stencil_h,
+    res_t = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
                           boundary=ctx.boundary)
     time_sweeps = [("alpha_L", res_t, "L"), ("alpha_R", res_t, "R")]
     temp_grid = np.round(np.arange(4.0, 12.0 + 1e-9, 0.25), 10)
-    res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t_star, h=cfg.stencil_h,
-                          boundary=ctx.boundary, workers=ctx.workers)
+    res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t_star,
+                          boundary=ctx.boundary)
     temp_sweeps = [("alpha_L", res_T, "L"), ("alpha_R", res_T, "R")]
     return [
         _sweep_table("fig13_time", ("t", U_TIME), time_sweeps),
@@ -332,8 +326,7 @@ def _appendixA(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(0.2, 4.0 + 1e-9, 0.05), 10)
     res = metrics.sweep(cfg, "T_M", grid, terminals=("R",), t=t,
-                        h=cfg.stencil_h, boundary=ctx.boundary,
-                        workers=ctx.workers)
+                        boundary=ctx.boundary)
     columns = [("T_L", U_TEMP), ("J_L", U_CURRENT), ("J_R", U_CURRENT),
                ("dJL_dTL", U_DERIV), ("dJR_dTL", U_DERIV),
                ("alpha", U_NONE)]
@@ -389,13 +382,12 @@ def build_tables(
     name: str,
     overrides: Optional[Dict] = None,
     *,
-    workers: int = 1,
     boundary: str = "left",
     search: Optional[nonmarkov.SearchConfig] = None,
 ) -> List[Table]:
     if name not in SCENARIOS:
         known = ", ".join(SCENARIOS)
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
-    ctx = RunContext(workers=workers, boundary=boundary,
+    ctx = RunContext(boundary=boundary,
                      search=search or nonmarkov.SearchConfig())
     return SCENARIOS[name].build(overrides, ctx)

@@ -67,7 +67,6 @@ def test_full_document_round_trip():
         grid_theta = 10
         grid_phi = 12
         refine_tol = 0.01
-        general_pairs = yes
         """))
     assert rc.scenario == "fig12"
     assert rc.out_dir == "/tmp/somewhere"
@@ -76,7 +75,7 @@ def test_full_document_round_trip():
     assert rc.overrides["stencil_h"] == 0.04
     assert rc.overrides["t_max"] == 2.0
     assert rc.overrides["attach_M"] is False
-    assert rc.search == SearchConfig(10, 12, 0.01, True)
+    assert rc.search == SearchConfig(10, 12, 0.01)
     model = rc.resolved_model()
     assert model.g == 3.5 and model.env.kind == "qutrit-nonlinear"
     assert model.env.T_M == 9.0 and not model.env.attach_M
@@ -211,9 +210,9 @@ def test_combined_model_validation_runs_last():
 
 def test_set_overrides_split_and_map():
     overrides, blp = parse_set_overrides(
-        ["g=3.5", "h=0.04", "t=1.5", "grid_theta=8", "general_pairs=no"])
+        ["g=3.5", "h=0.04", "t=1.5", "grid_theta=8"])
     assert overrides == {"g": 3.5, "stencil_h": 0.04, "t": 1.5}
-    assert blp == {"grid_theta": 8, "general_pairs": False}
+    assert blp == {"grid_theta": 8}
 
 
 def test_set_overrides_diagnostics():
@@ -262,8 +261,9 @@ def test_sweep_table_records_failures_as_nan_rows():
     assert tb.errors[0].startswith("ValueError")
     assert all(math.isnan(v) for v in tb.rows[0][1:])
     assert tb.errors[1] == "" and math.isfinite(tb.rows[1][1])
-    renamed = sweep_table(res, "sweep_T_M", "T_L")
-    assert renamed.columns[0][0] == "T_L"
+    renamed = sweep_table(res, "sweep_T_M", "L")
+    assert [n for n, _ in renamed.columns][:7] == [
+        "T_L", "J_L", "J_M", "J_R", "dJL_dTL", "dJM_dTL", "dJR_dTL"]
 
 
 def test_write_table_and_manifest(tmp_path):
@@ -396,6 +396,37 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     sha = json.loads((out1 / MANIFEST_NAME).read_text())["files"]
     sha3 = json.loads((out3 / MANIFEST_NAME).read_text())["files"]
     assert sha == sha3
+
+
+def test_set_t_beats_the_sweep_and_run_times(tmp_path):
+    def run(text, name, extra=()):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         *extra]) == EXIT_OK
+        return (out / "sweep_T_M.csv").read_bytes()
+
+    in_sweep = SWEEP_DOC.replace("step = 0.5\n", "step = 0.5\nt = 0.5\n")
+    ref = run(in_sweep.replace("t = 0.5", "t = 1.0"), "file")
+    assert run(in_sweep, "set", ("--set", "t=1.0")) == ref
+    assert run(SWEEP_DOC, "run_t", ("--set", "t=1.0")) == ref
+    assert run(in_sweep, "unset") != ref
+
+
+def test_two_qubit_sweep_names_columns_after_the_modulating_bath(tmp_path):
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(SWEEP_DOC.replace(
+        "sample_dt = 0.1\n", "sample_dt = 0.1\npreset = appendixA\n"),
+        encoding="utf-8")
+    out = tmp_path / "two"
+    assert cli.main(["run", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+    header = (out / "sweep_T_M.csv").read_text(
+        encoding="utf-8").splitlines()[0]
+    names = [c.split("(")[0] for c in header[2:].split(",")]
+    assert names == ["T_L", "J_L", "J_R", "dJL_dTL", "dJR_dTL", "alpha_R",
+                     "error"]
 
 
 def test_env_var_supplies_the_output_directory(tmp_path, monkeypatch):

@@ -130,11 +130,20 @@ def test_both_terminals_share_the_modulating_derivative():
     assert a.dJX_dTM != b.dJX_dTM
 
 
+def test_amplification_reads_the_stencil_step_from_the_config():
+    cfg = ModelConfig.default(stencil_h=0.1)
+    got = amplification(cfg, 1.0, "L").dJM_dTM
+    ref = five_point_derivative(
+        lambda T: current_at(cfg.with_temperature("M", T), 1.0, "M"),
+        10.0, 0.1)
+    assert abs(got - ref) < 1e-12
+
+
 def test_halving_h_shows_fourth_order_on_dynamics(baseline_alpha_L):
     cfg = ModelConfig.default()
     a1, a2, a4 = (baseline_alpha_L,
-                  amplification(cfg, 1.0, "L", 0.025),
-                  amplification(cfg, 1.0, "L", 0.0125))
+                  amplification(cfg.replace(stencil_h=0.025), 1.0, "L"),
+                  amplification(cfg.replace(stencil_h=0.0125), 1.0, "L"))
     # the derivative itself carries a clean h^4 signature ...
     d1 = abs(a1.dJM_dTM - a2.dJM_dTM)
     d2 = abs(a2.dJM_dTM - a4.dJM_dTM)

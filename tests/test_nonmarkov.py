@@ -195,6 +195,17 @@ def test_series_cutoffs_sit_exactly_on_the_sample_grid(tmp_path):
         lines = csv.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 7  # header + one row per cutoff
 
+    # a coarser sample grid spaces the cutoffs by whole samples
+    out = tmp_path / "fig12_coarse"
+    code = cli.main(["run", "--scenario", "fig12", "--set", "t_max=1.0",
+                     "--set", "sample_dt=0.25", "--set", "grid_theta=3",
+                     "--set", "grid_phi=4", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "fig12_baseline.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert [float(r.split(",")[0]) for r in lines[1:]] == \
+        [0.25, 0.5, 0.75, 1.0]
+
 
 def test_series_is_monotone_and_meets_the_full_measure(measured_M):
     ser = blp_series(coarse(), "M", [0.5, 1.0, 1.5], SMALL)
