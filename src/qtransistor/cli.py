@@ -81,14 +81,11 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 [f"cannot read config file {args.config!r}: {exc}"]
             ) from None
-        rc = parse_config(text)
+        # --set t beats [sweep] t and [run] t like any other --set
+        rc = parse_config(text, overrides.get("t"))
         if overrides:
             rc = dataclasses.replace(
                 rc, overrides={**rc.overrides, **overrides})
-        if rc.sweep is not None and "t" in overrides:
-            # --set t beats [sweep] t and [run] t like any other --set
-            rc = dataclasses.replace(
-                rc, sweep=dataclasses.replace(rc.sweep, t=overrides["t"]))
     else:
         if args.scenario not in SCENARIOS:
             raise ConfigError(

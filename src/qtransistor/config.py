@@ -235,8 +235,12 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate an INI document and resolve it into a RunConfig."""
+def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
+    """Validate an INI document and resolve it into a RunConfig.
+
+    ``t`` is an evaluation time given outside the document (``--set t``);
+    it beats ``t`` in [sweep] and [run].
+    """
     parser = _read_ini(text)
     lines = _line_map(text)
     problems: List[str] = []
@@ -300,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
                 problems.append(
                     f"{at('sweep', 'stop')}sweep stop {sw['stop']} is below "
                     f"start {sw['start']}")
-            t_eval = sw.get("t", run.get("t"))
+            t_eval = t if t is not None else sw.get("t", run.get("t"))
             if sw["axis"] != "t" and t_eval is None:
                 problems.append(
                     f"{at('sweep')}axis {sw['axis']!r} needs an evaluation "

@@ -9,12 +9,31 @@ back; there is no free evolution between them.
 The total Hamiltonian (eigenvalues w) is diagonalized once per parameter
 set and cached; a sample at tau into a window is then fixed by the phase
 vector u = exp(-i tau w), and every observable is one contraction of the
-attach-time eigenbasis state with u.
+attach-time eigenbasis state with u.  ``evolve`` walks the windows this
+way and keeps whole state histories.
 Heat currents come from the conserved-commutator form
 
     J_X = -Tr(rhodot_X H_X),   rhodot_X = Tr_rest(-i [H_tot, rho]),
 
 with the sign chosen so that heat leaving qubit X is positive.
+
+``sample_currents`` reads currents at chosen times only, from the window
+channel.  The fresh ancilla state sigma = diag(p) is diagonal, so one
+window maps the system state rho_n to
+
+    rho_{n+1} = sum_{f,e} p_e U_fe rho_n U_fe^dagger,
+
+with U_fe the system blocks of U = exp(-i dt H_tot).  Bath temperatures
+enter only through p, so one H_tot serves every temperature.  A current
+at phase row s of window n is a linear functional of rho_n:
+
+    J_X = sum_e p_e <C_{s,e}, rho_n>,
+
+where C_{s,e} is the e-diagonal system block of
+conj(V) diag(u_s) K_X'^T diag(conj(u_s)) V^T.  One C per phase row
+serves every config and window; when fewer (config, window) states are
+read than there are distinct rows, the currents come instead from each
+state's attach-time eigenbasis form, exactly as ``evolve`` computes them.
 """
 
 from __future__ import annotations
@@ -59,10 +78,11 @@ class _Core:
         w, v = hermitian_eig(h_tot)
         self.w = w
         self.v = v
-        self.vh = v.conj().T
+        v_conj = v.conj()  # one buffer behind both views below
+        self.vh = v_conj.T
         # conj(V) with rows split as (s, e): row s holds conj(V)[(s,e),k]
         # flattened over (e, k), transposed for system_state's GEMM
-        self.v_env = v.conj().reshape(self.d_sys, -1).T
+        self.v_env = v_conj.reshape(self.d_sys, -1).T
 
         # current generators K_X = i [H_X, H_tot]; in the eigenbasis
         # K'_jk = i (H_X')_jk (w_k - w_j), so J_X = Tr(rho' K_X')
@@ -75,8 +95,7 @@ class _Core:
             ops.append((1j * h_x_eig * gap).T)
         self.current_ops = np.stack(ops)  # K^T per terminal
 
-        # filled on demand; a race between threads only repeats the work
-        self._site_ops: dict = {}
+        self._site_ops: dict = {}  # filled on demand
 
     def system_state(self, b: np.ndarray) -> np.ndarray:
         """Tr_env(V b V^dagger) for an eigenbasis operator b, Hermitized."""
@@ -113,9 +132,30 @@ def _expectations(a: np.ndarray, ops_t: np.ndarray,
     return np.einsum("sj,mjs->sm", phases, half)
 
 
+def _real_currents(cur: np.ndarray) -> np.ndarray:
+    """Real part of computed currents, after the imaginary-residue check."""
+    worst = float(np.max(np.abs(cur.imag), initial=0.0))
+    if worst > _IMAG_TOL:
+        raise FloatingPointError(
+            f"current has imaginary residue {worst:.3e}")
+    return np.ascontiguousarray(cur.real)
+
+
+def _fresh_env(config: ModelConfig) -> np.ndarray:
+    """Product state of the fresh ancillas, one per attached terminal."""
+    fresh = [ancilla_thermal_state(config.env, t)
+             for t in config.attached_terminals]
+    return kron(*fresh) if fresh else np.eye(1, dtype=np.complex128)
+
+
 @functools.lru_cache(maxsize=8)
 def _cached_core(key: ModelConfig) -> _Core:
     return _Core(key)
+
+
+def _without_temperatures(config: ModelConfig) -> ModelConfig:
+    env = dataclasses.replace(config.env, T_L=1.0, T_M=1.0, T_R=1.0)
+    return dataclasses.replace(config, env=env, stencil_h=1.0)
 
 
 def _core_for(config: ModelConfig) -> _Core:
@@ -125,9 +165,8 @@ def _core_for(config: ModelConfig) -> _Core:
     that differ only there share one core, and any other difference is a
     cache miss.
     """
-    env = dataclasses.replace(config.env, T_L=1.0, T_M=1.0, T_R=1.0)
-    key = dataclasses.replace(config, env=env, dt_collision=1.0,
-                              sample_dt=1.0, stencil_h=1.0)
+    key = dataclasses.replace(_without_temperatures(config),
+                              dt_collision=1.0, sample_dt=1.0)
     return _cached_core(key)
 
 
@@ -142,10 +181,7 @@ class Propagator:
         # the attach instant, where every phase is 1
         taus = config.sample_dt * np.arange(self.n_steps + 1)
         self.phases = np.exp(-1j * np.multiply.outer(taus, self.core.w))
-        fresh = [ancilla_thermal_state(config.env, t)
-                 for t in config.attached_terminals]
-        self.env_state = kron(*fresh) if fresh else np.eye(
-            1, dtype=np.complex128)
+        self.env_state = _fresh_env(config)
         self.terminals = self.core.terminals
 
     def _to_eigenbasis(self, rho_sys: np.ndarray) -> np.ndarray:
@@ -154,12 +190,8 @@ class Propagator:
 
     def _currents(self, a: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """J_X for each phase row, shape (len(phases), n_terminals)."""
-        cur = _expectations(a, self.core.current_ops, phases)
-        worst = float(np.max(np.abs(cur.imag)))
-        if worst > _IMAG_TOL:
-            raise FloatingPointError(
-                f"current has imaginary residue {worst:.3e}")
-        return np.ascontiguousarray(cur.real)
+        return _real_currents(
+            _expectations(a, self.core.current_ops, phases))
 
     def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
         """J_X the instant fresh ancillas are attached (tau = 0+)."""
@@ -323,6 +355,99 @@ def evolve(config: ModelConfig, t_max: float, *,
                   for i, t in enumerate(prop.terminals)},
         collision_index=collision_index,
         system_states=sys_states, qubit_states=qubit_states)
+
+
+def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
+    """J_X at ``times`` for configs that differ only in bath temperatures.
+
+    Returns shape (len(configs), len(times), n_terminals), terminals in
+    ``system_terminals`` order, with the values ``evolve`` reports at
+    those times for the same ``boundary``.  The system state is carried
+    from window to window by each config's window channel, and only the
+    requested samples are evaluated (see the module docstring).
+    """
+    configs = list(configs)
+    if boundary not in BOUNDARY_SIDES:
+        raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
+    if not configs:
+        raise ValueError("sample_currents needs at least one config")
+    shared = _without_temperatures(configs[0])
+    if any(_without_temperatures(c) != shared for c in configs[1:]):
+        raise ValueError(
+            "sample_currents needs configs that differ only in bath "
+            "temperatures")
+    core = _core_for(shared)
+    dt, steps = shared.sample_dt, shared.samples_per_collision
+    d_sys = core.d_sys
+    d_env = core.d // d_sys
+
+    # time -> (window n, phase row s) by evolve's edge rule: "left" reads
+    # an edge at the end of the window before it, "right" at the start of
+    # the window after it; t = 0 is row 0 of window 0 either way
+    index = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
+    for t, i in zip(times, index):
+        if i < 0 or abs(t - i * dt) > 1e-9:
+            raise ValueError(
+                f"t = {t} is not on the sample grid [0, inf) with "
+                f"spacing {dt}")
+    if boundary == "left":
+        window = np.maximum(index - 1, 0) // steps
+    else:
+        window = index // steps
+    row = index - window * steps
+    p = np.stack([np.diag(_fresh_env(c)).real for c in configs])
+
+    # rho_n up to the last window needed, through each config's channel
+    # S = sum_{f,e} p_e U_fe (x) conj(U_fe) (U_fe: system blocks of U)
+    n_last = int(window.max(initial=0))
+    rho = np.empty((len(configs), n_last + 1, d_sys, d_sys),
+                   dtype=np.complex128)
+    rho[:, 0] = initial_state(shared.n_qubits)
+    if n_last:
+        # window unitary U, laid out as kraus[(a, b), (f, e)] = U[(a,f),(b,e)]
+        kraus = ((core.v * np.exp(-1j * shared.dt_collision * core.w))
+                 @ core.vh).reshape(d_sys, d_env, d_sys, d_env).transpose(
+            0, 2, 1, 3).reshape(d_sys * d_sys, -1)
+        kraus_h = kraus.conj().T
+        chan = np.stack([
+            ((kraus * np.tile(pc, d_env)) @ kraus_h).reshape(
+                (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(
+                d_sys * d_sys, -1) for pc in p])
+        for n in range(n_last):
+            nxt = (chan @ rho[:, n].reshape(len(configs), -1, 1)).reshape(
+                -1, d_sys, d_sys)
+            rho[:, n + 1] = (nxt + nxt.conj().transpose(0, 2, 1)) / 2.0
+
+    windows, rows = np.unique(window), np.unique(row)
+    cur = np.empty((len(configs), len(index), len(core.terminals)),
+                   dtype=np.complex128)
+    # an attach state costs about as much as one row's functionals, so
+    # take whichever route builds fewer of them
+    if len(configs) * len(windows) <= len(rows):
+        # evolve's own evaluation, from each window's attach state
+        for c, config in enumerate(configs):
+            prop = Propagator(config)
+            for n in windows:
+                at = np.flatnonzero(window == n)
+                a = prop._to_eigenbasis(rho[c, n])
+                cur[c, at] = prop._currents(a, prop.phases)[row[at]]
+    else:
+        # per row s and terminal, C[e] = e-diagonal block of
+        # conj(P) K'^T P^T with P = V diag(conj(u_s)); then
+        # J = sum_e p_e <C[e], rho_n>
+        for s in rows:
+            ph = core.v * np.exp(-1j * (dt * s) * core.w).conj()
+            ph_conj = ph.conj().reshape(d_sys, d_env, -1).transpose(1, 0, 2)
+            blocks = np.stack([
+                ph_conj @ (ph @ op.T).reshape(d_sys, d_env, -1).transpose(
+                    1, 2, 0) for op in core.current_ops])
+            func = np.tensordot(p, blocks.reshape(len(blocks), d_env, -1),
+                                axes=([1], [1]))  # (configs, terminals, q)
+            at = np.flatnonzero(row == s)
+            cur[:, at] = np.einsum("cxq,cjq->cjx", func,
+                                   rho[:, window[at]].reshape(
+                                       len(configs), len(at), -1))
+    return _real_currents(cur)
 
 
 def local_heat_current(joint_state: np.ndarray, h_total: np.ndarray,

@@ -10,9 +10,11 @@ Derivatives use the five-point central stencil
 
     f'(x) ~ [f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)] / (12 h)
 
-with h = ``ModelConfig.stencil_h`` (0.05 by default, error O(h^4)).  One
-stencil evaluation means five full dynamics runs — the five runs are shared
-across terminals, and for time sweeps across every requested time as well.
+with h = ``ModelConfig.stencil_h`` (0.05 by default, error O(h^4)).  The
+five modulating temperatures share one H_tot, so one stencil is a single
+``engine.sample_currents`` call, shared across terminals and, for time
+sweeps, across every requested time; only the requested samples are
+evaluated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import evolve
+from .engine import sample_currents
 from .model import ModelConfig
 
 __all__ = [
@@ -106,20 +108,13 @@ class SweepResult:
             raise ValueError("one record per grid point required")
 
 
-def _collision_ceiling(config: ModelConfig, t: float) -> float:
-    """Smallest whole-collision horizon covering time ``t``."""
-    dt = config.dt_collision
-    n = max(1, int(math.ceil(t / dt - 1e-9)))
-    return n * dt
-
-
 def _stencil(
     config: ModelConfig, times: Sequence[float], boundary: str
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
     """(currents at centre, dJ/dT_mod) per terminal, each over ``times``.
 
-    Five full runs with the modulating bath at T + k*h, k in -2..2 and
-    h = ``config.stencil_h``, each to the collision ceiling of the last time.
+    Five runs with the modulating bath at T + k*h, k in -2..2 and
+    h = ``config.stencil_h``, read at ``times`` in one ``sample_currents``.
     """
     mod = config.modulating_terminal
     h = config.stencil_h
@@ -128,28 +123,27 @@ def _stencil(
         raise ValueError(
             f"stencil leaves the physical domain: T_{mod} - 2h = {T0 - 2 * h}"
         )
-    t_max = _collision_ceiling(config, times[-1])
+    runs = sample_currents(
+        [config.with_temperature(mod, T0 + k * h) for k in _STENCIL_OFFSETS],
+        times, boundary)
     center, acc = {}, {}
-    for k, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-        traj = evolve(config.with_temperature(mod, T0 + k * h), t_max,
-                      boundary=boundary)
-        idx = [traj.index_at(t) for t in times]
-        for x, series in traj.currents.items():
+    for k, w, run in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS, runs):
+        for x, series in zip(config.system_terminals, run.T):
             if k == 0.0:
-                center[x] = series[idx]
+                center[x] = series
             else:
-                acc[x] = acc.get(x, 0.0) + w * series[idx]
+                acc[x] = acc.get(x, 0.0) + w * series
     return center, {x: a / (12.0 * h) for x, a in acc.items()}
 
 
 def current_at(
     config: ModelConfig, t: float, terminal: str, *, boundary: str = "left"
 ) -> float:
-    """J_X at time ``t`` (one full run; ``t`` on the sample grid)."""
+    """J_X at time ``t`` (``t`` on the sample grid)."""
     if terminal not in config.system_terminals:
         raise ValueError(f"unknown terminal {terminal!r}")
-    traj = evolve(config, _collision_ceiling(config, t), boundary=boundary)
-    return float(traj.currents[terminal][traj.index_at(t)])
+    cur = sample_currents([config], [t], boundary)
+    return float(cur[0, 0, config.system_terminals.index(terminal)])
 
 
 def _alpha_from(

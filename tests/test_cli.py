@@ -414,6 +414,24 @@ def test_set_t_beats_the_sweep_and_run_times(tmp_path):
     assert run(in_sweep, "unset") != ref
 
 
+def test_set_t_supplies_a_sweep_time_the_file_lacks(tmp_path):
+    no_t = tmp_path / "no_t.ini"
+    no_t.write_text(SWEEP_DOC.replace("[run]\nt = 0.5\n", ""),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--config", str(no_t)]) == EXIT_CONFIG
+    assert cli.main(["run", "--config", str(no_t), "--out",
+                     str(tmp_path / "unset")]) == EXIT_CONFIG
+    assert cli.main(["run", "--config", str(no_t), "--out",
+                     str(tmp_path / "set"), "--set", "t=0.5"]) == EXIT_OK
+    with_t = tmp_path / "with_t.ini"
+    with_t.write_text(SWEEP_DOC, encoding="utf-8")
+    assert cli.main(["run", "--config", str(with_t), "--out",
+                     str(tmp_path / "file")]) == EXIT_OK
+    table = "sweep_T_M.csv"
+    assert (tmp_path / "set" / table).read_bytes() == \
+        (tmp_path / "file" / table).read_bytes()
+
+
 def test_two_qubit_sweep_names_columns_after_the_modulating_bath(tmp_path):
     cfg = tmp_path / "two.ini"
     cfg.write_text(SWEEP_DOC.replace(

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qtransistor import linalg as la
 from qtransistor.engine import (Propagator, Trajectory, evolve,
-                                initial_state, local_heat_current)
+                                initial_state, local_heat_current,
+                                sample_currents)
 from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
                                build_total_hamiltonian)
 
@@ -302,3 +303,85 @@ def test_cores_shared_exactly_across_temperatures_and_grids(
         other = other.replace(attach_R=not cfg.env.attach_R)
     same = Propagator(cfg).core is Propagator(other).core
     assert same == (changed is None)
+
+
+# ------------------------------------------- sampled currents, window channel
+
+CHANNEL_MODELS = {
+    "baseline": coarse(),
+    "symmetric": ModelConfig.default("symmetric", sample_dt=0.1),
+    "asymmetric": ModelConfig.default("asymmetric", sample_dt=0.1),
+    "appendixA": ModelConfig.default("appendixA", sample_dt=0.1),
+    "qubit": coarse(kind="qubit"),
+    "nonlinear": coarse(kind="qutrit-nonlinear", epsilon=-0.4),
+    "no_R": coarse(attach_R=False),
+}
+
+
+@pytest.mark.parametrize("boundary", ("left", "right"))
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_sample_currents_match_evolve_at_every_sample(name, boundary):
+    cfg = CHANNEL_MODELS[name]
+    mod = cfg.modulating_terminal
+    temps = [cfg.env.temperature(mod) + k for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    configs = [cfg.with_temperature(mod, T) for T in temps]
+    trajs = [evolve(c, 1.0, boundary=boundary) for c in configs]
+    times = trajs[0].times  # two windows, both edges and the horizon
+    refs = np.stack([np.stack([tr.currents[x] for x in cfg.system_terminals],
+                              1) for tr in trajs])
+    # five configs share one row functional per phase row; a single
+    # config reads its few attach states instead
+    together = sample_currents(configs, times, boundary)
+    assert together.shape == refs.shape
+    assert np.max(np.abs(together - refs)) < 1e-12
+    alone = sample_currents(configs[:1], times, boundary)
+    assert np.max(np.abs(alone[0] - refs[0])) < 1e-12
+    # any order and any subset of times reads the same samples
+    picked = sample_currents(configs, times[::-3], boundary)
+    assert np.max(np.abs(picked - refs[:, ::-3])) < 1e-12
+
+
+def test_sample_currents_need_one_shared_hamiltonian():
+    cfg = coarse()
+    mixed = [cfg, cfg.replace(g=cfg.g + 0.5)]
+    with pytest.raises(ValueError, match="differ only in bath temperatures"):
+        sample_currents(mixed, [0.5])
+    with pytest.raises(ValueError, match="differ only in bath temperatures"):
+        sample_currents([cfg, cfg.replace(sample_dt=0.05)], [0.5])
+    with pytest.raises(ValueError, match="sample grid"):
+        sample_currents([cfg], [0.55])
+    with pytest.raises(ValueError, match="sample grid"):
+        sample_currents([cfg], [-0.1])
+    with pytest.raises(ValueError, match="boundary"):
+        sample_currents([cfg], [0.5], boundary="middle")
+    # temperatures and the stencil step may differ
+    ok = sample_currents([cfg, cfg.replace(T_L=7.0, T_R=2.0, stencil_h=0.1)],
+                         [0.5])
+    assert ok.shape == (2, 1, 3)
+
+
+@pytest.mark.parametrize("kind", ENV_KINDS)
+def test_fresh_ancilla_product_is_exactly_diagonal(kind):
+    # the window channel keeps only the populations of the fresh ancillas
+    for attach_R in (True, False):
+        cfg = coarse(kind=kind, attach_R=attach_R, T_L=0.7, T_M=3.3,
+                     T_R=25.0)
+        env = Propagator(cfg).env_state
+        assert np.count_nonzero(env - np.diag(np.diag(env))) == 0
+
+
+def test_core_keeps_one_conjugate_eigenvector_buffer():
+    core = Propagator(ModelConfig.default()).core
+    assert np.shares_memory(core.vh, core.v_env)
+
+    def root(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    buffers = {id(root(a)): root(a) for a in vars(core).values()
+               if isinstance(a, np.ndarray)}
+    d, n_terms = core.d, len(core.terminals)
+    # w, V, conj(V) and one current generator per terminal
+    assert sum(b.nbytes for b in buffers.values()) == \
+        d * 8 + (2 + n_terms) * d * d * 16

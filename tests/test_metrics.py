@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtransistor import metrics
+from qtransistor import engine, metrics
 from qtransistor.engine import evolve
 from qtransistor.metrics import (AmplificationResult, SweepResult,
                                  amplification, current_at,
@@ -139,6 +139,21 @@ def test_amplification_reads_the_stencil_step_from_the_config():
     assert abs(got - ref) < 1e-12
 
 
+@pytest.mark.parametrize("boundary", ("left", "right"))
+def test_amplification_matches_the_stencil_over_evolve_currents(boundary):
+    # t = 1 is a window edge and, for evolve, the horizon
+    cfg = coarse()
+    got = amplification(cfg, 1.0, "L", boundary=boundary)
+
+    def current(x):
+        return lambda T: evolve(cfg.with_temperature("M", T), 1.0,
+                                boundary=boundary).current(x, 1.0)
+
+    for x, d in (("L", got.dJX_dTM), ("M", got.dJM_dTM)):
+        ref = five_point_derivative(current(x), 10.0, cfg.stencil_h)
+        assert abs(d - ref) < 1e-12
+
+
 def test_halving_h_shows_fourth_order_on_dynamics(baseline_alpha_L):
     cfg = ModelConfig.default()
     a1, a2, a4 = (baseline_alpha_L,
@@ -227,6 +242,21 @@ def test_sweep_worker_count_does_not_change_results(temperature_sweep):
         assert p.currents == q.currents
         assert p.derivatives == q.derivatives
         assert all(p.alphas[x].alpha == q.alphas[x].alpha for x in p.alphas)
+
+
+def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-window evolution was called")
+
+    monkeypatch.setattr(engine, "evolve", refuse)
+    monkeypatch.setattr(engine.Propagator, "collision", refuse)
+    cfg = coarse()
+    results = [sweep(cfg, "T_M", [5.0, 7.5], t=1.0),
+               sweep(cfg, "g", [3.5, 4.0], t=0.3),
+               sweep(cfg, "t", [0.1 * k for k in range(1, 16)]),
+               sweep(cfg, "t", [0.1 * k for k in range(6)])]
+    for result in results:
+        assert all(p.error is None and p.alphas for p in result.values)
 
 
 def test_sweep_records_per_point_failures():
