@@ -31,9 +31,8 @@ at phase row s of window n is a linear functional of rho_n:
 
 where C_{s,e} is the e-diagonal system block of
 conj(V) diag(u_s) K_X'^T diag(conj(u_s)) V^T.  One C per phase row
-serves every config and window; when fewer (config, window) states are
-read than there are distinct rows, the currents come instead from each
-state's attach-time eigenbasis form, exactly as ``evolve`` computes them.
+serves every config and window.  These currents agree with ``evolve``'s
+to round-off, not bit for bit: the two sum in different orders.
 """
 
 from __future__ import annotations
@@ -397,13 +396,11 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
     row = index - window * steps
     p = np.stack([np.diag(_fresh_env(c)).real for c in configs])
 
-    # rho_n up to the last window needed, through each config's channel
+    # rho_n at each window read, carried through each config's channel
     # S = sum_{f,e} p_e U_fe (x) conj(U_fe) (U_fe: system blocks of U)
-    n_last = int(window.max(initial=0))
-    rho = np.empty((len(configs), n_last + 1, d_sys, d_sys),
-                   dtype=np.complex128)
-    rho[:, 0] = initial_state(shared.n_qubits)
-    if n_last:
+    windows, slot = np.unique(window, return_inverse=True)
+    rho = np.repeat(initial_state(shared.n_qubits)[None], len(configs), 0)
+    if window.max(initial=0):
         # window unitary U, laid out as kraus[(a, b), (f, e)] = U[(a,f),(b,e)]
         kraus = ((core.v * np.exp(-1j * shared.dt_collision * core.w))
                  @ core.vh).reshape(d_sys, d_env, d_sys, d_env).transpose(
@@ -413,40 +410,31 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
             ((kraus * np.tile(pc, d_env)) @ kraus_h).reshape(
                 (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(
                 d_sys * d_sys, -1) for pc in p])
-        for n in range(n_last):
-            nxt = (chan @ rho[:, n].reshape(len(configs), -1, 1)).reshape(
-                -1, d_sys, d_sys)
-            rho[:, n + 1] = (nxt + nxt.conj().transpose(0, 2, 1)) / 2.0
+    states = np.empty((len(configs), len(windows), d_sys * d_sys),
+                      dtype=np.complex128)
+    done = 0
+    for i, n in enumerate(windows):
+        for _ in range(n - done):
+            nxt = (chan @ rho.reshape(len(configs), -1, 1)).reshape(
+                rho.shape)
+            rho = (nxt + nxt.conj().transpose(0, 2, 1)) / 2.0
+        done = n
+        states[:, i] = rho.reshape(len(configs), -1)
 
-    windows, rows = np.unique(window), np.unique(row)
+    # per row s and terminal, C[e] = e-diagonal block of conj(P) K'^T P^T
+    # with P = V diag(conj(u_s)); then J = sum_e p_e <C[e], rho_n>
     cur = np.empty((len(configs), len(index), len(core.terminals)),
                    dtype=np.complex128)
-    # an attach state costs about as much as one row's functionals, so
-    # take whichever route builds fewer of them
-    if len(configs) * len(windows) <= len(rows):
-        # evolve's own evaluation, from each window's attach state
-        for c, config in enumerate(configs):
-            prop = Propagator(config)
-            for n in windows:
-                at = np.flatnonzero(window == n)
-                a = prop._to_eigenbasis(rho[c, n])
-                cur[c, at] = prop._currents(a, prop.phases)[row[at]]
-    else:
-        # per row s and terminal, C[e] = e-diagonal block of
-        # conj(P) K'^T P^T with P = V diag(conj(u_s)); then
-        # J = sum_e p_e <C[e], rho_n>
-        for s in rows:
-            ph = core.v * np.exp(-1j * (dt * s) * core.w).conj()
-            ph_conj = ph.conj().reshape(d_sys, d_env, -1).transpose(1, 0, 2)
-            blocks = np.stack([
-                ph_conj @ (ph @ op.T).reshape(d_sys, d_env, -1).transpose(
-                    1, 2, 0) for op in core.current_ops])
-            func = np.tensordot(p, blocks.reshape(len(blocks), d_env, -1),
-                                axes=([1], [1]))  # (configs, terminals, q)
-            at = np.flatnonzero(row == s)
-            cur[:, at] = np.einsum("cxq,cjq->cjx", func,
-                                   rho[:, window[at]].reshape(
-                                       len(configs), len(at), -1))
+    for s in np.unique(row):
+        ph = core.v * np.exp(-1j * (dt * s) * core.w).conj()
+        ph_conj = ph.conj().reshape(d_sys, d_env, -1).transpose(1, 0, 2)
+        blocks = np.stack([
+            ph_conj @ (ph @ op.T).reshape(d_sys, d_env, -1).transpose(
+                1, 2, 0) for op in core.current_ops])
+        func = np.tensordot(p, blocks.reshape(len(blocks), d_env, -1),
+                            axes=([1], [1]))  # (configs, terminals, q)
+        at = np.flatnonzero(row == s)
+        cur[:, at] = np.einsum("cxq,cjq->cjx", func, states[:, slot[at]])
     return _real_currents(cur)
 
 

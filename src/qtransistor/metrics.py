@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import sample_currents
+from .engine import evolve, sample_currents
 from .model import ModelConfig
 
 __all__ = [
@@ -108,6 +108,13 @@ class SweepResult:
             raise ValueError("one record per grid point required")
 
 
+def _collision_ceiling(config: ModelConfig, t: float) -> float:
+    """Smallest whole-collision horizon covering time ``t``."""
+    dt = config.dt_collision
+    n = max(1, int(math.ceil(t / dt - 1e-9)))
+    return n * dt
+
+
 def _stencil(
     config: ModelConfig, times: Sequence[float], boundary: str
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
@@ -139,11 +146,15 @@ def _stencil(
 def current_at(
     config: ModelConfig, t: float, terminal: str, *, boundary: str = "left"
 ) -> float:
-    """J_X at time ``t`` (``t`` on the sample grid)."""
+    """J_X at time ``t`` (one full run; ``t`` on the sample grid).
+
+    This is ``evolve``'s value bit for bit; the stencil's
+    ``sample_currents`` agrees with it to round-off.
+    """
     if terminal not in config.system_terminals:
         raise ValueError(f"unknown terminal {terminal!r}")
-    cur = sample_currents([config], [t], boundary)
-    return float(cur[0, 0, config.system_terminals.index(terminal)])
+    traj = evolve(config, _collision_ceiling(config, t), boundary=boundary)
+    return float(traj.currents[terminal][traj.index_at(t)])
 
 
 def _alpha_from(

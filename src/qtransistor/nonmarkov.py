@@ -29,6 +29,7 @@ import numpy as np
 
 from . import linalg as la
 from .engine import evolve
+from .metrics import _collision_ceiling
 from .model import ModelConfig
 
 __all__ = [
@@ -310,13 +311,6 @@ def blp_measure(
         distance_series=series,
         growth_windows=growth_windows(times, series),
     )
-
-
-def _collision_ceiling(config: ModelConfig, t: float) -> float:
-    """Smallest whole-collision horizon covering time ``t``."""
-    dt = config.dt_collision
-    n = max(1, int(math.ceil(t / dt - 1e-9)))
-    return n * dt
 
 
 def blp_series(

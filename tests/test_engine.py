@@ -329,8 +329,7 @@ def test_sample_currents_match_evolve_at_every_sample(name, boundary):
     times = trajs[0].times  # two windows, both edges and the horizon
     refs = np.stack([np.stack([tr.currents[x] for x in cfg.system_terminals],
                               1) for tr in trajs])
-    # five configs share one row functional per phase row; a single
-    # config reads its few attach states instead
+    # five configs share one row functional per phase row
     together = sample_currents(configs, times, boundary)
     assert together.shape == refs.shape
     assert np.max(np.abs(together - refs)) < 1e-12

@@ -249,6 +249,7 @@ def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
         raise AssertionError("per-window evolution was called")
 
     monkeypatch.setattr(engine, "evolve", refuse)
+    monkeypatch.setattr(metrics, "evolve", refuse)  # kept for current_at
     monkeypatch.setattr(engine.Propagator, "collision", refuse)
     cfg = coarse()
     results = [sweep(cfg, "T_M", [5.0, 7.5], t=1.0),
