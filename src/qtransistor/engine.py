@@ -10,7 +10,7 @@ The total Hamiltonian (eigenvalues w) is diagonalized once per parameter
 set and cached; a sample at tau into a window is then fixed by the phase
 vector u = exp(-i tau w), and every observable is one contraction of the
 attach-time eigenbasis state with u.  ``evolve`` walks the windows this
-way and keeps whole state histories.
+way; it is the tested reference and ``metrics.current_at``'s route.
 Heat currents come from the conserved-commutator form
 
     J_X = -Tr(rhodot_X H_X),   rhodot_X = Tr_rest(-i [H_tot, rho]),
@@ -33,6 +33,11 @@ where C_{s,e} is the e-diagonal system block of
 conj(V) diag(u_s) K_X'^T diag(conj(u_s)) V^T.  One C per phase row
 serves every config and window.  These currents agree with ``evolve``'s
 to round-off, not bit for bit: the two sum in different orders.
+
+``sample_states`` returns the system state at every sample, for the
+backflow search.  Each initial state is carried from window to window by
+the same channel, and the sample at row s of a window is the channel at
+tau_s = s * sample_dt applied to the state at the window's start.
 """
 
 from __future__ import annotations
@@ -94,29 +99,11 @@ class _Core:
             ops.append((1j * h_x_eig * gap).T)
         self.current_ops = np.stack(ops)  # K^T per terminal
 
-        self._site_ops: dict = {}  # filled on demand
-
     def system_state(self, b: np.ndarray) -> np.ndarray:
         """Tr_env(V b V^dagger) for an eigenbasis operator b, Hermitized."""
         # rho[s,t] = sum_{e,k} (V b)[(s,e),k] conj(V)[(t,e),k]
         m = (self.v @ b).reshape(self.d_sys, -1)
-        rho = m @ self.v_env
-        return (rho + rho.conj().T) / 2.0
-
-    def site_ops(self, site: int) -> np.ndarray:
-        """Eigenbasis operators O_ab with rho_site[a, b] = Tr(rho' O_ab),
-        returned transposed as shape (k*k, d, d), row a*k + b."""
-        if site not in self._site_ops:
-            k = self.dims[site]
-            pre = int(np.prod(self.dims[:site])) if site else 1
-            post = int(np.prod(self.dims[site + 1:]))
-            vg = self.v.reshape(pre, k, post, self.d)
-            # O^T[ab,jk] = sum_{u,v} vg[u,a,v,j] conj(vg)[u,b,v,k];
-            # contracting u,v first keeps it a single GEMM
-            m = np.tensordot(vg, vg.conj(), axes=([0, 2], [0, 2]))
-            ops = m.transpose(0, 2, 1, 3).reshape(k * k, self.d, self.d)
-            self._site_ops.setdefault(site, np.ascontiguousarray(ops))
-        return self._site_ops[site]
+        return _hermitized(m @ self.v_env)
 
 
 def _expectations(a: np.ndarray, ops_t: np.ndarray,
@@ -200,11 +187,11 @@ class Propagator:
     def collision(self, rho_sys: np.ndarray, reduced=None):
         """Evolve one window from ``rho_sys``.
 
-        Returns (rho_sys_end, currents, attach_currents, reduced_states)
+        Returns (rho_sys_end, currents, attach_currents, system_states)
         where currents has shape (n_steps, n_terminals) sampled at
         tau = sample_dt .. window, attach_currents is the tau = 0 row,
-        and reduced_states holds per-sample reduced density matrices for
-        ``reduced`` ("sys" or a terminal letter), or None.
+        and system_states holds the system state at each of those samples
+        when ``reduced`` is "sys", else None.
         """
         core = self.core
         a = self._to_eigenbasis(rho_sys)
@@ -216,12 +203,6 @@ class Propagator:
         if reduced == "sys":
             states = np.stack([core.system_state(a * np.outer(u, u.conj()))
                                for u in self.phases[1:]])
-        elif reduced is not None:
-            site = self.terminals.index(reduced)
-            k = core.dims[site]
-            states = _expectations(a, core.site_ops(site),
-                                   self.phases[1:]).reshape(-1, k, k)
-            states = (states + states.conj().transpose(0, 2, 1)) / 2.0
         return rho_end, cur[1:], cur[0], states
 
 
@@ -260,9 +241,32 @@ def _batched_qubit_marginal(states: np.ndarray, n_qubits: int,
     return np.einsum(arr, [0] + row + col, out)
 
 
+def _whole_windows(config: ModelConfig, t_max: float) -> int:
+    """Number of collision windows in ``t_max``, which must be whole."""
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    n_col = t_max / config.dt_collision
+    if abs(n_col - round(n_col)) > 1e-9 * max(1.0, abs(n_col)):
+        raise ValueError(
+            f"t_max = {t_max} is not a whole number of collision windows "
+            f"of length {config.dt_collision}")
+    return int(round(n_col))
+
+
+def _system_initial(config: ModelConfig,
+                    initial: Optional[np.ndarray]) -> np.ndarray:
+    """A copy of ``initial`` (|0...0> if None), checked for its shape."""
+    d_sys = 2 ** config.n_qubits
+    rho = initial_state(config.n_qubits) if initial is None \
+        else np.asarray(initial, dtype=np.complex128).copy()
+    if rho.shape != (d_sys, d_sys):
+        raise ValueError(
+            f"initial state must be {d_sys}x{d_sys}, got {rho.shape}")
+    return rho
+
+
 def evolve(config: ModelConfig, t_max: float, *,
            store_states: bool = False,
-           marginal_terminal: Optional[str] = None,
            boundary: str = "left",
            initial: Optional[np.ndarray] = None) -> Trajectory:
     """Run repeated collisions from t = 0 to t = t_max.
@@ -271,53 +275,28 @@ def evolve(config: ModelConfig, t_max: float, *,
     picks which one-sided limit is reported exactly at window edges:
     "left" keeps the end-of-window currents, "right" the fresh-ancilla
     values (the reduced states agree from both sides).  Full system
-    snapshots are stored when ``store_states`` is set; a single qubit's
-    reduced history can be requested more cheaply through
-    ``marginal_terminal``.
+    snapshots, and every qubit's marginal, are stored when
+    ``store_states`` is set.
     """
     if boundary not in BOUNDARY_SIDES:
         raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    n_col = t_max / config.dt_collision
-    if abs(n_col - round(n_col)) > 1e-9 * max(1.0, abs(n_col)):
-        raise ValueError(
-            f"t_max = {t_max} is not a whole number of collision windows "
-            f"of length {config.dt_collision}")
-    n_col = int(round(n_col))
-    if store_states and marginal_terminal is not None:
-        raise ValueError("store_states already includes every marginal")
-    if marginal_terminal is not None and \
-            marginal_terminal not in config.system_terminals:
-        raise ValueError(
-            f"marginal terminal {marginal_terminal!r} not in "
-            f"{config.system_terminals}")
+    n_col = _whole_windows(config, t_max)
 
     prop = Propagator(config)
     steps = prop.n_steps
     n_samples = n_col * steps + 1
     n_terms = len(prop.terminals)
     d_sys = 2 ** config.n_qubits
-
-    rho = initial_state(config.n_qubits) if initial is None \
-        else np.asarray(initial, dtype=np.complex128).copy()
-    if rho.shape != (d_sys, d_sys):
-        raise ValueError(
-            f"initial state must be {d_sys}x{d_sys}, got {rho.shape}")
+    rho = _system_initial(config, initial)
 
     currents = np.empty((n_samples, n_terms))
     times = config.sample_dt * np.arange(n_samples)
     sys_states = np.empty((n_samples, d_sys, d_sys),
                           dtype=np.complex128) if store_states else None
-    marg = None
-    if marginal_terminal is not None:
-        site = config.system_terminals.index(marginal_terminal)
-        marg = np.empty((n_samples, 2, 2), dtype=np.complex128)
-        marg[0] = partial_trace(rho, [2] * config.n_qubits, [site])
     if store_states:
         sys_states[0] = rho
 
-    reduced = "sys" if store_states else marginal_terminal
+    reduced = "sys" if store_states else None
     for k in range(n_col):
         rho, block_cur, attach, states = prop.collision(rho, reduced=reduced)
         lo = k * steps + 1
@@ -328,8 +307,6 @@ def evolve(config: ModelConfig, t_max: float, *,
             currents[lo - 1] = attach
         if store_states:
             sys_states[lo:lo + steps] = states
-        elif marg is not None:
-            marg[lo:lo + steps] = states
     if n_col == 0:
         currents[0] = prop.currents_at_attach(rho)
     elif boundary == "right":
@@ -345,8 +322,6 @@ def evolve(config: ModelConfig, t_max: float, *,
         qubit_states = {
             t: _batched_qubit_marginal(sys_states, config.n_qubits, i)
             for i, t in enumerate(config.system_terminals)}
-    elif marg is not None:
-        qubit_states = {marginal_terminal: marg}
 
     return Trajectory(
         config=config, boundary=boundary, times=times,
@@ -354,6 +329,71 @@ def evolve(config: ModelConfig, t_max: float, *,
                   for i, t in enumerate(prop.terminals)},
         collision_index=collision_index,
         system_states=sys_states, qubit_states=qubit_states)
+
+
+def _sample_index(times, dt: float) -> np.ndarray:
+    """Sample-grid index of each of ``times``, which must lie on the grid."""
+    index = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
+    for t, i in zip(times, index):
+        if i < 0 or abs(t - i * dt) > 1e-9:
+            raise ValueError(
+                f"t = {t} is not on the sample grid [0, inf) with "
+                f"spacing {dt}")
+    return index
+
+
+def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
+    """Channels S = sum_{f,e} p_e U_fe (x) conj(U_fe) on row-major vec(rho),
+    one per row of the ancilla populations ``p``, where U_fe are the
+    system blocks of U = exp(-i tau H_tot)."""
+    d_sys = core.d_sys
+    d_env = core.d // d_sys
+    # U laid out as kraus[(a, b), (f, e)] = U[(a,f),(b,e)]
+    kraus = ((core.v * np.exp(-1j * tau * core.w)) @ core.vh).reshape(
+        d_sys, d_env, d_sys, d_env).transpose(0, 2, 1, 3).reshape(
+        d_sys * d_sys, -1)
+    kraus_h = kraus.conj().T
+    return np.stack([
+        ((kraus * np.tile(pc, d_env)) @ kraus_h).reshape(
+            (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(d_sys * d_sys, -1)
+        for pc in p])
+
+
+def _hermitized(states: np.ndarray) -> np.ndarray:
+    return (states + states.conj().swapaxes(-1, -2)) / 2.0
+
+
+def sample_states(config: ModelConfig, initials,
+                  t_max: float) -> np.ndarray:
+    """System state at every sample up to ``t_max``, from each initial.
+
+    Returns shape (len(initials), n_samples, d, d), on the sample grid of
+    ``evolve(config, t_max)``; ``t_max`` must be a whole number of
+    windows.  Each state is carried from window to window by the window
+    channel, and the sample at row s of a window is the channel at
+    tau_s = s * sample_dt applied to the state at the window's start.
+    """
+    n_col = _whole_windows(config, t_max)
+    rho = np.stack([_system_initial(config, r) for r in initials])
+    core = _core_for(config)
+    steps, d_sys = config.samples_per_collision, core.d_sys
+    p = np.diag(_fresh_env(config)).real[None]
+    out = np.empty((len(rho), n_col * steps + 1, d_sys, d_sys),
+                   dtype=np.complex128)
+    out[:, 0] = rho
+    if not n_col:
+        return out
+    chan = _channel(core, config.dt_collision, p)[0]
+    for n in range(1, n_col + 1):
+        rho = _hermitized((rho.reshape(len(rho), -1) @ chan.T).reshape(
+            rho.shape))
+        out[:, n * steps] = rho
+    starts = out[:, :-1:steps].reshape(-1, d_sys * d_sys)
+    for s in range(1, steps):
+        chan = _channel(core, config.sample_dt * s, p)[0]
+        out[:, s::steps] = _hermitized((starts @ chan.T).reshape(
+            len(rho), n_col, d_sys, d_sys))
+    return out
 
 
 def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
@@ -383,12 +423,7 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
     # time -> (window n, phase row s) by evolve's edge rule: "left" reads
     # an edge at the end of the window before it, "right" at the start of
     # the window after it; t = 0 is row 0 of window 0 either way
-    index = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
-    for t, i in zip(times, index):
-        if i < 0 or abs(t - i * dt) > 1e-9:
-            raise ValueError(
-                f"t = {t} is not on the sample grid [0, inf) with "
-                f"spacing {dt}")
+    index = _sample_index(times, dt)
     if boundary == "left":
         window = np.maximum(index - 1, 0) // steps
     else:
@@ -397,19 +432,10 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
     p = np.stack([np.diag(_fresh_env(c)).real for c in configs])
 
     # rho_n at each window read, carried through each config's channel
-    # S = sum_{f,e} p_e U_fe (x) conj(U_fe) (U_fe: system blocks of U)
     windows, slot = np.unique(window, return_inverse=True)
     rho = np.repeat(initial_state(shared.n_qubits)[None], len(configs), 0)
     if window.max(initial=0):
-        # window unitary U, laid out as kraus[(a, b), (f, e)] = U[(a,f),(b,e)]
-        kraus = ((core.v * np.exp(-1j * shared.dt_collision * core.w))
-                 @ core.vh).reshape(d_sys, d_env, d_sys, d_env).transpose(
-            0, 2, 1, 3).reshape(d_sys * d_sys, -1)
-        kraus_h = kraus.conj().T
-        chan = np.stack([
-            ((kraus * np.tile(pc, d_env)) @ kraus_h).reshape(
-                (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(
-                d_sys * d_sys, -1) for pc in p])
+        chan = _channel(core, shared.dt_collision, p)
     states = np.empty((len(configs), len(windows), d_sys * d_sys),
                       dtype=np.complex128)
     done = 0
@@ -417,7 +443,7 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
         for _ in range(n - done):
             nxt = (chan @ rho.reshape(len(configs), -1, 1)).reshape(
                 rho.shape)
-            rho = (nxt + nxt.conj().transpose(0, 2, 1)) / 2.0
+            rho = _hermitized(nxt)
         done = n
         states[:, i] = rho.reshape(len(configs), -1)
 

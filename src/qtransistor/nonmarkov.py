@@ -8,15 +8,18 @@ information backflow.  The measure computed here accumulates those increases,
 
     N = max_pair  sum_k  max(0, D(t_{k+1}) - D(t_k)),
 
-maximized over pure initial pairs.  The primary search walks antipodal pairs
-(theta, phi) on a grid with local refinement; a general four-angle mode is
-available behind a flag to guard the antipodal assumption.
+maximized over pure initial pairs.  For a qubit the optimal pairs are
+orthogonal, that is antipodal on the Bloch sphere (Wissmann et al., PRA 86,
+062108 (2012)), so the one search scores antipodal pairs (theta, phi) on a
+grid and refines the best by coordinate descent.
 
 Evaluation trick: the reduced dynamics is linear in the input Bloch vector,
 so four basis evolutions (|0>, |1>, |+>, |+i>) determine the marginal of any
-initial state; a candidate pair then costs a closed-form 2x2 trace distance
-per sample time instead of a fresh simulation.  The reported optimum is
-re-evaluated with direct simulations before being returned.
+initial state; the whole grid then costs one contraction and a closed-form
+2x2 trace distance per pair and sample time.  Every marginal is taken from
+the system states of ``engine.sample_states``, which carries the probes
+through the window channel.  The reported optimum is re-evaluated by
+evolving the pair itself before being returned.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import linalg as la
-from .engine import evolve
+from .engine import _batched_qubit_marginal, _sample_index, sample_states
 from .metrics import _collision_ceiling
 from .model import ModelConfig
 
@@ -81,7 +84,6 @@ class SearchConfig:
     grid_theta: int = 24
     grid_phi: int = 48
     refine_tol: float = 1e-3
-    general_pairs: bool = False
 
     def __post_init__(self):
         if self.grid_theta < 2 or self.grid_phi < 2:
@@ -111,21 +113,31 @@ def _full_initial(config: ModelConfig, terminal: str, probe: np.ndarray) -> np.n
     return out
 
 
+def _probe_marginals(config: ModelConfig, terminal: str,
+                     probes: Sequence[BlochState],
+                     t_max: float) -> np.ndarray:
+    """Probe-qubit marginal at every sample time for each probe state,
+    shape (len(probes), n_times, 2, 2), from one ``sample_states`` call."""
+    if terminal not in config.system_terminals:
+        raise ValueError(f"unknown terminal {terminal!r}")
+    initials = [_full_initial(config, terminal, s.density_matrix())
+                for s in probes]
+    states = sample_states(config, initials, t_max)
+    n_probes, n_times, d, _ = states.shape
+    return _batched_qubit_marginal(
+        states.reshape(-1, d, d), config.n_qubits,
+        config.system_terminals.index(terminal)).reshape(
+        n_probes, n_times, 2, 2)
+
+
 def qubit_reduced_dynamics(
     config: ModelConfig,
     terminal: str,
     initial: BlochState,
     t_max: float,
-    *,
-    boundary: str = "left",
 ) -> np.ndarray:
     """Probe-qubit marginal at every sample time, shape (n_times, 2, 2)."""
-    if terminal not in config.system_terminals:
-        raise ValueError(f"unknown terminal {terminal!r}")
-    rho0 = _full_initial(config, terminal, initial.density_matrix())
-    traj = evolve(config, t_max, marginal_terminal=terminal, boundary=boundary,
-                  initial=rho0)
-    return traj.qubit_states[terminal]
+    return _probe_marginals(config, terminal, [initial], t_max)[0]
 
 
 class _ReducedMap:
@@ -134,37 +146,30 @@ class _ReducedMap:
     Marginals of 1/2 (I + r.sigma) decompose as E0 + rx Ex + ry Ey + rz Ez;
     since every marginal has unit trace the E_i are traceless, and the
     difference of two evolved probes is [[a, b], [conj(b), -a]] with trace
-    distance sqrt(a^2 + |b|^2) per sample time.
+    distance sqrt(a^2 + |b|^2) per sample time.  Only the (0, 0) and (0, 1)
+    entries of the E_i are kept.
     """
 
-    def __init__(self, config: ModelConfig, terminal: str, t_max: float,
-                 boundary: str = "left"):
-        basis = {
-            "z+": BlochState(0.0, 0.0),
-            "z-": BlochState(math.pi, 0.0),
-            "x+": BlochState(math.pi / 2, 0.0),
-            "y+": BlochState(math.pi / 2, math.pi / 2),
-        }
-        out = {}
-        for name, state in basis.items():
-            rho0 = _full_initial(config, terminal, state.density_matrix())
-            traj = evolve(config, t_max, marginal_terminal=terminal,
-                          boundary=boundary, initial=rho0)
-            out[name] = traj.qubit_states[terminal]
-        self.times = traj.times
-        self.index_at = traj.index_at
-        e0 = 0.5 * (out["z+"] + out["z-"])
+    def __init__(self, config: ModelConfig, terminal: str, t_max: float):
+        z_plus, z_minus, x_plus, y_plus = _probe_marginals(
+            config, terminal,
+            [BlochState(0.0, 0.0), BlochState(math.pi, 0.0),
+             BlochState(math.pi / 2, 0.0),
+             BlochState(math.pi / 2, math.pi / 2)], t_max)
+        self.times = config.sample_dt * np.arange(len(z_plus))
+        e0 = 0.5 * (z_plus + z_minus)
         self._comp = np.stack([
-            out["x+"] - e0,          # Ex
-            out["y+"] - e0,          # Ey
-            0.5 * (out["z+"] - out["z-"]),  # Ez
-        ])  # (3, n_times, 2, 2)
+            x_plus - e0,                 # Ex
+            y_plus - e0,                 # Ey
+            0.5 * (z_plus - z_minus),    # Ez
+        ])[:, :, 0, :]  # (3, n_times, 2)
 
     def pair_distance(self, delta_r: np.ndarray) -> np.ndarray:
-        """Trace-distance series for a pair with Bloch difference ``delta_r``."""
-        m = np.tensordot(delta_r, self._comp, axes=(0, 0))  # (n_times, 2, 2)
-        a = m[:, 0, 0].real
-        b = m[:, 0, 1]
+        """Trace-distance series for pairs with Bloch differences
+        ``delta_r`` of shape (..., 3); returns shape (..., n_times)."""
+        m = np.tensordot(delta_r, self._comp, axes=(-1, 0))
+        a = m[..., 0].real
+        b = m[..., 1]
         return np.sqrt(a * a + np.abs(b) ** 2)
 
 
@@ -173,14 +178,9 @@ def distance_series(
     terminal: str,
     pair: Tuple[BlochState, BlochState],
     t_max: float,
-    *,
-    boundary: str = "left",
 ) -> np.ndarray:
     """D(t_k) between the two evolved probe marginals (direct simulation)."""
-    s1 = qubit_reduced_dynamics(config, terminal, pair[0], t_max,
-                                boundary=boundary)
-    s2 = qubit_reduced_dynamics(config, terminal, pair[1], t_max,
-                                boundary=boundary)
+    s1, s2 = _probe_marginals(config, terminal, pair, t_max)
     return np.array([la.trace_distance(a, b) for a, b in zip(s1, s2)])
 
 
@@ -202,14 +202,11 @@ def growth_windows(
     return windows
 
 
-def _positive_sum(series: np.ndarray) -> float:
-    d = np.diff(series)
-    return float(d[d > 0.0].sum())
-
-
 def _cumulative_positive(series: np.ndarray) -> np.ndarray:
+    """Backflow accumulated up to each sample, along the last axis."""
     d = np.clip(np.diff(series), 0.0, None)
-    return np.concatenate([[0.0], np.cumsum(d)])
+    zero = np.zeros(series.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(d, axis=-1)], axis=-1)
 
 
 def _antipodal_delta(s: BlochState) -> np.ndarray:
@@ -242,13 +239,40 @@ def _refine_antipodal(
     return best, (theta, phi)
 
 
+def _antipodal_search(
+    rmap: _ReducedMap, cut: Sequence[int], search: SearchConfig
+) -> List[Tuple[float, Tuple[float, float]]]:
+    """Best antipodal pair for the backflow up to each sample index in
+    ``cut``, as (value, (theta, phi)).
+
+    The whole theta x phi grid is scored at once; the first maximum (the
+    lowest theta, then the lowest phi) starts the refinement.
+    """
+    thetas = np.linspace(0.0, math.pi, search.grid_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
+    angles = [(float(th), float(ph)) for th in thetas for ph in phis]
+    deltas = np.stack([_antipodal_delta(BlochState(*a)) for a in angles])
+    cums = _cumulative_positive(rmap.pair_distance(deltas))[:, cut]
+    step0 = (float(thetas[1] - thetas[0]) / 2.0,
+             float(phis[1] - phis[0]) / 2.0)
+    found = []
+    for j, i_cut in enumerate(cut):
+
+        def score(theta: float, phi: float, _i=i_cut) -> float:
+            delta = _antipodal_delta(BlochState(theta, phi))
+            return _cumulative_positive(rmap.pair_distance(delta))[_i]
+
+        start = angles[int(np.argmax(cums[:, j]))]
+        found.append(_refine_antipodal(score, start, step0,
+                                       search.refine_tol))
+    return found
+
+
 def blp_measure(
     config: ModelConfig,
     terminal: str,
     t_max: float = 3.0,
     search: SearchConfig = SearchConfig(),
-    *,
-    boundary: str = "left",
 ) -> BLPResult:
     """Maximal accumulated trace-distance backflow for one probe qubit.
 
@@ -257,59 +281,18 @@ def blp_measure(
     pair is re-simulated directly and the reported value, series, and growth
     windows come from that independent evaluation.
     """
-    if terminal not in config.system_terminals:
-        raise ValueError(f"unknown terminal {terminal!r}")
-    rmap = _ReducedMap(config, terminal, t_max, boundary)
-
-    def score_antipodal(theta: float, phi: float) -> float:
-        delta = _antipodal_delta(BlochState(theta, phi))
-        return _positive_sum(rmap.pair_distance(delta))
-
-    thetas = np.linspace(0.0, math.pi, search.grid_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
-    best_val, best_ang = -1.0, (0.0, 0.0)
-    for th in thetas:
-        for ph in phis:
-            val = score_antipodal(th, ph)
-            if val > best_val + 1e-12:
-                best_val, best_ang = val, (float(th), float(ph))
-    step0 = (float(thetas[1] - thetas[0]) / 2.0, float(phis[1] - phis[0]) / 2.0)
-    best_val, best_ang = _refine_antipodal(
-        score_antipodal, best_ang, step0, search.refine_tol
-    )
+    rmap = _ReducedMap(config, terminal, t_max)
+    [(_, best_ang)] = _antipodal_search(rmap, [len(rmap.times) - 1], search)
     s1 = BlochState(*best_ang)
     s2 = s1.antipode()
-
-    if search.general_pairs:
-        # guard pass: both states free (coarser grid, same refinement idea)
-        th_g = np.linspace(0.0, math.pi, max(6, search.grid_theta // 2))
-        ph_g = np.linspace(0.0, 2.0 * math.pi, max(8, search.grid_phi // 2),
-                           endpoint=False)
-        gen_best, gen_pair = -1.0, None
-        for t1 in th_g:
-            for p1 in ph_g:
-                r1 = BlochState(t1, p1).bloch_vector
-                for t2 in th_g:
-                    for p2 in ph_g:
-                        delta = r1 - BlochState(t2, p2).bloch_vector
-                        val = _positive_sum(rmap.pair_distance(delta))
-                        if val > gen_best + 1e-12:
-                            gen_best = val
-                            gen_pair = (BlochState(t1, p1), BlochState(t2, p2))
-        if gen_best > best_val + 1e-12:
-            s1, s2 = gen_pair
-            best_val = gen_best
-
-    series = distance_series(config, terminal, (s1, s2), t_max,
-                             boundary=boundary)
-    times = rmap.times
+    series = distance_series(config, terminal, (s1, s2), t_max)
     return BLPResult(
         terminal=terminal,
-        value=_positive_sum(series),
+        value=float(_cumulative_positive(series)[-1]),
         optimal_pair=(s1, s2),
-        times=times,
+        times=rmap.times,
         distance_series=series,
-        growth_windows=growth_windows(times, series),
+        growth_windows=growth_windows(rmap.times, series),
     )
 
 
@@ -318,8 +301,6 @@ def blp_series(
     terminal: str,
     cutoffs: Sequence[float],
     search: SearchConfig = SearchConfig(),
-    *,
-    boundary: str = "left",
 ) -> np.ndarray:
     """N per cutoff time: backflow accumulated up to each cutoff, maximized
     over antipodal pairs independently at every cutoff.  Cutoffs must lie
@@ -328,32 +309,7 @@ def blp_series(
     cutoffs = np.asarray(list(cutoffs), dtype=float)
     if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be strictly ascending and nonempty")
+    cut = _sample_index(cutoffs, config.sample_dt)
     horizon = _collision_ceiling(config, float(cutoffs[-1]))
-    rmap = _ReducedMap(config, terminal, horizon, boundary)
-    idx = [rmap.index_at(c) for c in cutoffs]
-
-    thetas = np.linspace(0.0, math.pi, search.grid_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
-    cums = []
-    for th in thetas:
-        for ph in phis:
-            delta = _antipodal_delta(BlochState(th, ph))
-            cums.append(_cumulative_positive(rmap.pair_distance(delta)))
-    cums = np.stack(cums)  # (n_pairs, n_times)
-    out = cums[:, idx].max(axis=0)
-
-    # refine each cutoff from the best grid pair for that cutoff
-    flat_angles = [(th, ph) for th in thetas for ph in phis]
-    for j, i_cut in enumerate(idx):
-        k = int(np.argmax(cums[:, i_cut]))
-
-        def score(theta: float, phi: float, _i=i_cut) -> float:
-            delta = _antipodal_delta(BlochState(theta, phi))
-            return _cumulative_positive(rmap.pair_distance(delta))[_i]
-
-        step0 = (float(thetas[1] - thetas[0]) / 2.0,
-                 float(phis[1] - phis[0]) / 2.0)
-        val, _ = _refine_antipodal(score, flat_angles[k], step0,
-                                   search.refine_tol)
-        out[j] = max(out[j], val)
-    return out
+    rmap = _ReducedMap(config, terminal, horizon)
+    return np.array([val for val, _ in _antipodal_search(rmap, cut, search)])

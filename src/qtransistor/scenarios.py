@@ -290,8 +290,7 @@ def _fig12(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
         columns = [("t", U_TIME)]
         series = {}
         for x in cfg.system_terminals:
-            series[x] = nonmarkov.blp_series(cfg, x, cutoffs, ctx.search,
-                                             boundary=ctx.boundary)
+            series[x] = nonmarkov.blp_series(cfg, x, cutoffs, ctx.search)
             columns.append((f"N_{x}", U_NONE))
         rows = [[float(c)] + [float(series[x][i])
                               for x in cfg.system_terminals]

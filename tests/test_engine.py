@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.engine import (Propagator, Trajectory, evolve,
+from qtransistor.engine import (Propagator, Trajectory,
+                                _batched_qubit_marginal, evolve,
                                 initial_state, local_heat_current,
-                                sample_currents)
+                                sample_currents, sample_states)
 from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
                                build_total_hamiltonian)
 
@@ -131,10 +132,10 @@ def test_density_matrix_invariants_over_many_collisions():
 def test_qubit_marginals_consistent_with_full_states():
     cfg = coarse()
     full = evolve(cfg, 1.0, store_states=True)
+    channel = sample_states(cfg, [initial_state(3)], 1.0)[0]
     for i, x in enumerate(("L", "M", "R")):
-        direct = evolve(cfg, 1.0, marginal_terminal=x)
-        assert np.max(np.abs(direct.qubit_states[x]
-                             - full.qubit_states[x])) < 1e-12
+        direct = _batched_qubit_marginal(channel, 3, i)
+        assert np.max(np.abs(direct - full.qubit_states[x])) < 1e-12
         ref = np.stack([la.partial_trace(r, [2, 2, 2], [i])
                         for r in full.system_states])
         assert np.max(np.abs(ref - full.qubit_states[x])) < 1e-12
@@ -199,10 +200,6 @@ def test_evolve_argument_validation():
         evolve(cfg, -1.0)
     with pytest.raises(ValueError):
         evolve(cfg, 1.0, boundary="middle")
-    with pytest.raises(ValueError):
-        evolve(cfg, 1.0, marginal_terminal="Q")
-    with pytest.raises(ValueError):
-        evolve(cfg, 1.0, store_states=True, marginal_terminal="L")
     with pytest.raises(ValueError):
         evolve(cfg, 1.0, initial=np.eye(4) / 4)
 
@@ -277,8 +274,9 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
     for rho in traj.system_states:
         assert la.is_density_matrix(rho)
 
+    channel = sample_states(cfg, [initial_state(cfg.n_qubits)], 1.0)[0]
     for i, x in enumerate(cfg.system_terminals):
-        marg = evolve(cfg, 1.0, marginal_terminal=x).qubit_states[x]
+        marg = _batched_qubit_marginal(channel, cfg.n_qubits, i)
         ref = np.stack([la.partial_trace(r, [2] * cfg.n_qubits, [i])
                         for r in traj.system_states])
         assert np.max(np.abs(marg - ref)) < 1e-12
@@ -357,6 +355,30 @@ def test_sample_currents_need_one_shared_hamiltonian():
     ok = sample_currents([cfg, cfg.replace(T_L=7.0, T_R=2.0, stencil_h=0.1)],
                          [0.5])
     assert ok.shape == (2, 1, 3)
+
+
+def probe_on_middle_qubit(cfg):
+    """|+> on qubit n // 2, every other qubit in |0>."""
+    plus, ground = np.full((2, 2), 0.5), np.diag([1.0, 0.0])
+    return la.kron(*[plus if i == cfg.n_qubits // 2 else ground
+                     for i in range(cfg.n_qubits)])
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_sample_states_match_evolve_at_every_sample(name):
+    cfg = CHANNEL_MODELS[name]
+    initials = [initial_state(cfg.n_qubits), probe_on_middle_qubit(cfg)]
+    got = sample_states(cfg, initials, 1.0)  # two windows of five rows
+    assert got.shape == (2, 11) + initials[0].shape
+    for rho0, states in zip(initials, got):
+        ref = evolve(cfg, 1.0, store_states=True, initial=rho0)
+        assert np.max(np.abs(states - ref.system_states)) < 1e-12
+    assert sample_states(cfg, initials[:1], 0.0).shape == \
+        (1, 1) + initials[0].shape
+    with pytest.raises(ValueError, match="whole number"):
+        sample_states(cfg, initials, 0.7)
+    with pytest.raises(ValueError, match="initial state"):
+        sample_states(cfg, [np.eye(2 ** cfg.n_qubits + 1)], 1.0)
 
 
 @pytest.mark.parametrize("kind", ENV_KINDS)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtransistor import cli
+from qtransistor import cli, engine
 from qtransistor import linalg as la
 from qtransistor.model import ModelConfig
 from qtransistor.nonmarkov import (BlochState, SearchConfig, blp_measure,
@@ -155,14 +155,41 @@ def test_optimal_pair_is_antipodal(measured_M):
     assert np.allclose(s2.bloch_vector, -s1.bloch_vector, atol=1e-12)
 
 
-def test_general_pair_search_never_loses_to_antipodal():
+def bloch_grid(n_theta, n_phi):
+    return np.array([
+        BlochState(th, ph).bloch_vector
+        for th in np.linspace(0.0, math.pi, n_theta)
+        for ph in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)])
+
+
+@pytest.mark.parametrize("preset,terminal",
+                         (("baseline", "M"), ("asymmetric", "R")))
+def test_no_general_pair_beats_the_best_antipodal_pair(preset, terminal):
+    # the search scores antipodal pairs only; for a qubit the optimal
+    # pairs are orthogonal, i.e. antipodal on the Bloch sphere
+    rmap = nonmarkov._ReducedMap(
+        ModelConfig.default(preset, sample_dt=0.1), terminal, 1.0)
+
+    def backflow(deltas):
+        return nonmarkov._cumulative_positive(
+            rmap.pair_distance(deltas))[:, -1]
+
+    r = bloch_grid(12, 16)
+    general = backflow((r[:, None] - r[None]).reshape(-1, 3)).max()
+    antipodal = backflow(2.0 * bloch_grid(91, 180)).max()
+    assert general <= antipodal + 1e-12
+
+
+def test_backflow_never_runs_per_window_evolution(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-window evolution called")
+
+    monkeypatch.setattr(engine, "evolve", forbidden)
+    monkeypatch.setattr(engine.Propagator, "collision", forbidden)
     cfg = coarse()
-    anti = blp_measure(cfg, "M", 1.0, SMALL)
-    general = blp_measure(
-        cfg, "M", 1.0,
-        SearchConfig(grid_theta=6, grid_phi=8, refine_tol=5e-3,
-                     general_pairs=True))
-    assert general.value >= anti.value - 1e-9
+    assert blp_series(cfg, "M", [0.5, 1.0], SMALL).shape == (2,)
+    assert blp_measure(cfg, "L", 1.0, SMALL).value > 0.0
+    assert distance_series(cfg, "R", (Z_PLUS, X_PLUS), 0.5).shape == (6,)
 
 
 # --------------------------------------------------------------- BLP series

@@ -1,5 +1,8 @@
-"""Every command line in the README parses with the real parser."""
+"""Every command line in the README parses with the real parser, and every
+Python example imports and calls the real API."""
 
+import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -30,4 +33,48 @@ def test_readme_command_lines_parse():
             problems.append(f"{line!r}: rejected by the argument parser")
         except ConfigError as exc:
             problems.append(f"{line!r}: {exc}")
+    assert not problems, "\n".join(problems)
+
+
+def _resolve(node, names):
+    """The object a call target refers to, if it is rooted in an import."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, names)
+        return getattr(owner, node.attr, None) if owner is not None else None
+    return None
+
+
+def test_readme_python_imports_and_keywords_exist():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    problems = []
+    for block in blocks:
+        tree = ast.parse(block)
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module.split(".")[0] == "qtransistor":
+                line = ast.unparse(node)
+                try:
+                    exec(line, names)
+                except ImportError as exc:
+                    problems.append(f"{line!r}: {exc}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _resolve(node.func, names)
+            if target is None:
+                continue
+            signature = inspect.signature(target)
+            for kw in node.keywords:
+                if kw.arg is None:
+                    continue
+                try:
+                    signature.bind_partial(**{kw.arg: None})
+                except TypeError:
+                    problems.append(f"{ast.unparse(node)!r}: "
+                                    f"no keyword {kw.arg!r}")
     assert not problems, "\n".join(problems)
