@@ -23,21 +23,32 @@ window maps the system state rho_n to
 
     rho_{n+1} = sum_{f,e} p_e U_fe rho_n U_fe^dagger,
 
-with U_fe the system blocks of U = exp(-i dt H_tot).  Bath temperatures
-enter only through p, so one H_tot serves every temperature.  A current
-at phase row s of window n is a linear functional of rho_n:
+with U_fe the system blocks of U = exp(-i dt H_tot).  The channel is
+linear in p, S = sum_e p_e S_e with pieces S_e = sum_f U_fe (x)
+conj(U_fe), and bath temperatures enter only through p, so one H_tot
+serves every temperature.  A call builds the d_env pieces once, as one
+batched GEMM, and mixes each config's 64x64 channel from them one config
+at a time; stacking every config's channel would hold 64 KB per config.
+p comes from one thermal state per distinct (terminal, temperature) in
+the call.  A current at phase row s of window n is a linear functional of
+rho_n:
 
     J_X = sum_e p_e <C_{s,e}, rho_n>,
 
-where C_{s,e} is the e-diagonal system block of
+where C_{s,e} is the e-diagonal block of
 conj(V) diag(u_s) K_X'^T diag(conj(u_s)) V^T.  One C per phase row
-serves every config and window.  These currents agree with ``evolve``'s
-to round-off, not bit for bit: the two sum in different orders.
+serves every config and window.  Each config goes through the same
+operations whatever else shares the call, so it reads the same bits alone
+or in a batch.  These currents agree with ``evolve``'s to round-off, not
+bit for bit: the two sum in different orders.
 
 ``sample_states`` returns the system state at every sample, for the
 backflow search.  Each initial state is carried from window to window by
 the same channel, and the sample at row s of a window is the channel at
-tau_s = s * sample_dt applied to the state at the window's start.
+tau_s = s * sample_dt applied to the state at the window's start.  It has
+one p and a channel per row offset, so it contracts p inside one GEMM
+over (f, e) per channel instead of building pieces for each tau, which
+would make every channel dearer.
 """
 
 from __future__ import annotations
@@ -342,21 +353,64 @@ def _sample_index(times, dt: float) -> np.ndarray:
     return index
 
 
-def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
-    """Channels S = sum_{f,e} p_e U_fe (x) conj(U_fe) on row-major vec(rho),
-    one per row of the ancilla populations ``p``, where U_fe are the
-    system blocks of U = exp(-i tau H_tot)."""
+def _window_unitary(core: _Core, tau: float) -> np.ndarray:
+    """U = exp(-i tau H_tot) split as U[a, f, b, e]: system indices a, b
+    and ancilla indices f, e, so U_fe = U[:, f, :, e]."""
     d_sys = core.d_sys
     d_env = core.d // d_sys
-    # U laid out as kraus[(a, b), (f, e)] = U[(a,f),(b,e)]
-    kraus = ((core.v * np.exp(-1j * tau * core.w)) @ core.vh).reshape(
-        d_sys, d_env, d_sys, d_env).transpose(0, 2, 1, 3).reshape(
+    u = (core.v * np.exp(-1j * tau * core.w)) @ core.vh
+    return u.reshape(d_sys, d_env, d_sys, d_env)
+
+
+def _vec_channel(m: np.ndarray, d_sys: int) -> np.ndarray:
+    """A channel from GEMM layout [(a, b), (a', b')] to the matrix that
+    acts on row-major vec(rho), [(a, a'), (b, b')]."""
+    return m.reshape((d_sys,) * 4).transpose(0, 2, 1, 3).reshape(
         d_sys * d_sys, -1)
-    kraus_h = kraus.conj().T
-    return np.stack([
-        ((kraus * np.tile(pc, d_env)) @ kraus_h).reshape(
-            (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(d_sys * d_sys, -1)
-        for pc in p])
+
+
+def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
+    """Channel S = sum_{f,e} p_e U_fe (x) conj(U_fe) on row-major vec(rho)
+    for the ancilla populations ``p``, as one GEMM over (f, e)."""
+    d_sys = core.d_sys
+    kraus = _window_unitary(core, tau).transpose(0, 2, 1, 3).reshape(
+        d_sys * d_sys, -1)  # [(a, b), (f, e)]
+    return _vec_channel((kraus * np.tile(p, len(p))) @ kraus.conj().T,
+                        d_sys)
+
+
+def _channel_pieces(core: _Core, tau: float) -> np.ndarray:
+    """Pieces S_e = sum_f U_fe (x) conj(U_fe), one per ancilla level e, so
+    that the channel for populations p is _vec_channel(sum_e p_e S_e).
+
+    Shape (d_env, d_sys**2, d_sys**2) in GEMM layout [e, (a, b), (a', b')],
+    built as one batched GEMM over e.
+    """
+    d_sys = core.d_sys
+    u = _window_unitary(core, tau)
+    kraus = u.transpose(3, 0, 2, 1).reshape(u.shape[3], d_sys * d_sys, -1)
+    return kraus @ kraus.conj().swapaxes(1, 2)
+
+
+def _populations(configs) -> np.ndarray:
+    """Fresh-ancilla populations p_e, shape (len(configs), d_env).
+
+    One thermal state per distinct (terminal, temperature); the diagonals
+    are multiplied in ``_fresh_env``'s kron order, so each row equals
+    ``np.diag(_fresh_env(config)).real`` bit for bit.
+    """
+    diagonals = {}
+    rows = []
+    for config in configs:
+        p = np.ones(1)
+        for t in config.attached_terminals:
+            key = (t, config.env.temperature(t))
+            if key not in diagonals:
+                diagonals[key] = np.diag(
+                    ancilla_thermal_state(config.env, t)).real
+            p = np.multiply.outer(p, diagonals[key]).ravel()
+        rows.append(p)
+    return np.stack(rows)
 
 
 def _hermitized(states: np.ndarray) -> np.ndarray:
@@ -377,20 +431,20 @@ def sample_states(config: ModelConfig, initials,
     rho = np.stack([_system_initial(config, r) for r in initials])
     core = _core_for(config)
     steps, d_sys = config.samples_per_collision, core.d_sys
-    p = np.diag(_fresh_env(config)).real[None]
+    p = _populations([config])[0]
     out = np.empty((len(rho), n_col * steps + 1, d_sys, d_sys),
                    dtype=np.complex128)
     out[:, 0] = rho
     if not n_col:
         return out
-    chan = _channel(core, config.dt_collision, p)[0]
+    chan = _channel(core, config.dt_collision, p)
     for n in range(1, n_col + 1):
         rho = _hermitized((rho.reshape(len(rho), -1) @ chan.T).reshape(
             rho.shape))
         out[:, n * steps] = rho
     starts = out[:, :-1:steps].reshape(-1, d_sys * d_sys)
     for s in range(1, steps):
-        chan = _channel(core, config.sample_dt * s, p)[0]
+        chan = _channel(core, config.sample_dt * s, p)
         out[:, s::steps] = _hermitized((starts @ chan.T).reshape(
             len(rho), n_col, d_sys, d_sys))
     return out
@@ -429,23 +483,25 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
     else:
         window = index // steps
     row = index - window * steps
-    p = np.stack([np.diag(_fresh_env(c)).real for c in configs])
+    p = _populations(configs)
 
-    # rho_n at each window read, carried through each config's channel
+    # rho_n at each window read, carried through each config's channel,
+    # which is mixed from the pieces when its config's turn comes
     windows, slot = np.unique(window, return_inverse=True)
-    rho = np.repeat(initial_state(shared.n_qubits)[None], len(configs), 0)
-    if window.max(initial=0):
-        chan = _channel(core, shared.dt_collision, p)
+    pieces = _channel_pieces(core, shared.dt_collision).reshape(
+        d_env, -1) if window.max(initial=0) else None
     states = np.empty((len(configs), len(windows), d_sys * d_sys),
                       dtype=np.complex128)
-    done = 0
-    for i, n in enumerate(windows):
-        for _ in range(n - done):
-            nxt = (chan @ rho.reshape(len(configs), -1, 1)).reshape(
-                rho.shape)
-            rho = _hermitized(nxt)
-        done = n
-        states[:, i] = rho.reshape(len(configs), -1)
+    for c, pc in enumerate(p):
+        if pieces is not None:
+            chan = _vec_channel(pc @ pieces, d_sys)
+        rho, done = initial_state(shared.n_qubits), 0
+        for i, n in enumerate(windows):
+            for _ in range(n - done):
+                rho = _hermitized((chan @ rho.reshape(-1)).reshape(
+                    rho.shape))
+            done = n
+            states[c, i] = rho.reshape(-1)
 
     # per row s and terminal, C[e] = e-diagonal block of conj(P) K'^T P^T
     # with P = V diag(conj(u_s)); then J = sum_e p_e <C[e], rho_n>
@@ -457,8 +513,10 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
         blocks = np.stack([
             ph_conj @ (ph @ op.T).reshape(d_sys, d_env, -1).transpose(
                 1, 2, 0) for op in core.current_ops])
-        func = np.tensordot(p, blocks.reshape(len(blocks), d_env, -1),
-                            axes=([1], [1]))  # (configs, terminals, q)
+        # one small product per config, so that a config reads the same
+        # bits whatever else shares the call
+        func = p[:, None] @ blocks.swapaxes(0, 1).reshape(d_env, -1)
+        func = func.reshape(len(configs), len(blocks), -1)  # (c, x, q)
         at = np.flatnonzero(row == s)
         cur[:, at] = np.einsum("cxq,cjq->cjx", func, states[:, slot[at]])
     return _real_currents(cur)

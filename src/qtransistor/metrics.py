@@ -14,7 +14,11 @@ with h = ``ModelConfig.stencil_h`` (0.05 by default, error O(h^4)).  The
 five modulating temperatures share one H_tot, so one stencil is a single
 ``engine.sample_currents`` call, shared across terminals and, for time
 sweeps, across every requested time; only the requested samples are
-evaluated.
+evaluated.  Every point of a T_M sweep shares that H_tot too, so the
+whole sweep is one call over 5 configs per point, and each point gets
+the values a call of its own would give.  An error raised inside that
+call is recorded on every point of the sweep; a point whose stencil
+leaves the physical domain is left out of the call and fails alone.
 """
 
 from __future__ import annotations
@@ -115,27 +119,42 @@ def _collision_ceiling(config: ModelConfig, t: float) -> float:
     return n * dt
 
 
-def _stencil(
-    config: ModelConfig, times: Sequence[float], boundary: str
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """(currents at centre, dJ/dT_mod) per terminal, each over ``times``.
-
-    Five runs with the modulating bath at T + k*h, k in -2..2 and
-    h = ``config.stencil_h``, read at ``times`` in one ``sample_currents``.
-    """
+def _check_stencil_domain(config: ModelConfig) -> None:
     mod = config.modulating_terminal
-    h = config.stencil_h
     T0 = config.env.temperature(mod)
-    if T0 - 2.0 * h <= 0.0:
+    if T0 - 2.0 * config.stencil_h <= 0.0:
         raise ValueError(
-            f"stencil leaves the physical domain: T_{mod} - 2h = {T0 - 2 * h}"
+            f"stencil leaves the physical domain: T_{mod} - 2h = "
+            f"{T0 - 2 * config.stencil_h}"
         )
+
+
+def _stencil(
+    configs: Sequence[ModelConfig], times: Sequence[float], boundary: str
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """(currents at centre, dJ/dT_mod) per terminal, each of shape
+    (len(configs), len(times)).
+
+    ``configs`` are centre configs that share one H_tot.  Each gets five
+    runs with the modulating bath at T + k*h, k in -2..2 and h = its
+    ``stencil_h``; all 5 * len(configs) runs are read at ``times`` in one
+    ``sample_currents`` call, which gives each config the values it would
+    get alone.
+    """
+    for config in configs:
+        _check_stencil_domain(config)
+    mod = configs[0].modulating_terminal
     runs = sample_currents(
-        [config.with_temperature(mod, T0 + k * h) for k in _STENCIL_OFFSETS],
+        [c.with_temperature(mod, c.env.temperature(mod) + k * c.stencil_h)
+         for c in configs for k in _STENCIL_OFFSETS],
         times, boundary)
+    # (offset k, terminal, config, time)
+    runs = runs.reshape(len(configs), len(_STENCIL_OFFSETS), len(times),
+                        -1).transpose(1, 3, 0, 2)
+    h = np.array([c.stencil_h for c in configs])[:, None]
     center, acc = {}, {}
     for k, w, run in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS, runs):
-        for x, series in zip(config.system_terminals, run.T):
+        for x, series in zip(configs[0].system_terminals, run):
             if k == 0.0:
                 center[x] = series
             else:
@@ -188,9 +207,10 @@ def amplification(
     mod = config.modulating_terminal
     if terminal == mod:
         raise ValueError(f"terminal {terminal!r} is the modulating one")
-    _, deriv = _stencil(config, [t], boundary)
+    _, deriv = _stencil([config], [t], boundary)
     return _alpha_from(
-        terminal, t, float(deriv[terminal][0]), float(deriv[mod][0]), divergence_tol
+        terminal, t, float(deriv[terminal][0, 0]), float(deriv[mod][0, 0]),
+        divergence_tol,
     )
 
 
@@ -207,17 +227,19 @@ def find_critical_TM(
 
     Bisection on the stencil derivative; requires a sign change across the
     bracket and resolves the root to ``tol`` (absolute, in temperature units).
+    Both bracket endpoints are read in one stencil call.
     """
     mod = config.modulating_terminal
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bad bracket {bracket}")
 
-    def djm(T: float) -> float:
-        _, deriv = _stencil(config.with_temperature(mod, T), [t], boundary)
-        return float(deriv[mod][0])
+    def djm(*temps: float) -> List[float]:
+        _, deriv = _stencil([config.with_temperature(mod, T) for T in temps],
+                            [t], boundary)
+        return [float(d) for d in deriv[mod][:, 0]]
 
-    f_lo, f_hi = djm(lo), djm(hi)
+    f_lo, f_hi = djm(lo, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -231,7 +253,7 @@ def find_critical_TM(
         mid = 0.5 * (lo + hi)
         if 0.5 * (hi - lo) < tol:
             return mid
-        f_mid = djm(mid)
+        f_mid, = djm(mid)
         if f_mid == 0.0:
             return mid
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
@@ -254,28 +276,35 @@ def _point_config(config: ModelConfig, axis: str, value: float) -> ModelConfig:
 
 
 def _points(
-    config: ModelConfig,
+    configs: Sequence[ModelConfig],
     times: Sequence[float],
     values: Sequence[float],
     terminals: Sequence[str],
     divergence_tol: float,
     boundary: str,
 ) -> List[SweepPoint]:
-    """One point per (time, axis value) pair, all from one stencil."""
-    mod = config.modulating_terminal
-    center, deriv = _stencil(config, times, boundary)
+    """One point per (config, time) pair, config-major, all from one
+    stencil; ``values`` holds the axis value of each pair."""
+    mod = configs[0].modulating_terminal
+    center, deriv = _stencil(configs, times, boundary)
     points = []
-    for i, (tv, value) in enumerate(zip(times, values)):
-        currents = {x: float(center[x][i]) for x in center}
-        derivatives = {x: float(deriv[x][i]) for x in deriv}
+    pairs = np.ndindex(len(configs), len(times))
+    for (c, i), value in zip(pairs, values):
+        currents = {x: float(center[x][c, i]) for x in center}
+        derivatives = {x: float(deriv[x][c, i]) for x in deriv}
         alphas = {
-            x: _alpha_from(x, float(tv), derivatives[x], derivatives[mod],
-                           divergence_tol)
+            x: _alpha_from(x, float(times[i]), derivatives[x],
+                           derivatives[mod], divergence_tol)
             for x in terminals
         }
         points.append(SweepPoint(value=float(value), currents=currents,
                                  derivatives=derivatives, alphas=alphas))
     return points
+
+
+def _failed(value: float, exc: Exception) -> SweepPoint:
+    return SweepPoint(value=float(value), currents={}, derivatives={},
+                      alphas={}, error=f"{type(exc).__name__}: {exc}")
 
 
 def sweep(
@@ -294,7 +323,9 @@ def sweep(
     ``axis`` is one of T_M / t / g / epsilon.  For every axis except ``t`` the
     evaluation time ``t`` is required.  Grid points run in series, whatever
     ``workers`` says; the argument is kept for callers that record it.
-    Per-point failures are recorded on the point and do not abort the sweep.
+    Per-point failures are recorded on the point and do not abort the sweep;
+    the points of a T_M sweep share one stencil call, so an error raised
+    inside that call is recorded on each of them.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -314,21 +345,32 @@ def sweep(
         if np.any(off > 1e-9):
             raise ValueError("time grid points must be sample_dt multiples")
         # one stencil covers every requested time
-        points = _points(config, grid, grid, terminals, divergence_tol,
+        points = _points([config], grid, grid, terminals, divergence_tol,
                          boundary)
         return SweepResult(axis=axis, grid=grid, values=points)
 
     if t is None:
         raise ValueError(f"axis {axis!r} needs an evaluation time t")
 
-    points = []
-    for value in grid:
+    points: List[Optional[SweepPoint]] = [None] * len(grid)
+    valid = {}
+    for i, value in enumerate(grid):
         try:
             cfg = _point_config(config, axis, float(value))
-            points += _points(cfg, [t], [value], terminals, divergence_tol,
-                              boundary)
+            _check_stencil_domain(cfg)
         except Exception as exc:  # recorded per point, sweep continues
-            points.append(SweepPoint(value=float(value), currents={},
-                                     derivatives={}, alphas={},
-                                     error=f"{type(exc).__name__}: {exc}"))
+            points[i] = _failed(value, exc)
+        else:
+            valid[i] = cfg
+    # every T_M point has the same H_tot, so one stencil serves them all
+    batches = [list(valid)] if axis == "T_M" and valid else \
+        [[i] for i in valid]
+    for batch in batches:
+        try:
+            done = _points([valid[i] for i in batch], [t], grid[batch],
+                           terminals, divergence_tol, boundary)
+        except Exception as exc:  # recorded per point, sweep continues
+            done = [_failed(grid[i], exc) for i in batch]
+        for i, point in zip(batch, done):
+            points[i] = point
     return SweepResult(axis=axis, grid=grid, values=points)

@@ -1,5 +1,7 @@
 """Collision propagation against brute-force references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from qtransistor import linalg as la
 from qtransistor.engine import (Propagator, Trajectory,
-                                _batched_qubit_marginal, evolve,
-                                initial_state, local_heat_current,
-                                sample_currents, sample_states)
+                                _batched_qubit_marginal, _fresh_env,
+                                _populations, evolve, initial_state,
+                                local_heat_current, sample_currents,
+                                sample_states)
 from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
                                build_total_hamiltonian)
 
@@ -331,11 +334,12 @@ def test_sample_currents_match_evolve_at_every_sample(name, boundary):
     together = sample_currents(configs, times, boundary)
     assert together.shape == refs.shape
     assert np.max(np.abs(together - refs)) < 1e-12
+    # a config reads the same bits alone as in a batch, and any order and
+    # any subset of times reads the same samples
     alone = sample_currents(configs[:1], times, boundary)
-    assert np.max(np.abs(alone[0] - refs[0])) < 1e-12
-    # any order and any subset of times reads the same samples
+    assert np.array_equal(alone[0], together[0])
     picked = sample_currents(configs, times[::-3], boundary)
-    assert np.max(np.abs(picked - refs[:, ::-3])) < 1e-12
+    assert np.array_equal(picked, together[:, ::-3])
 
 
 def test_sample_currents_need_one_shared_hamiltonian():
@@ -355,6 +359,20 @@ def test_sample_currents_need_one_shared_hamiltonian():
     ok = sample_currents([cfg, cfg.replace(T_L=7.0, T_R=2.0, stencil_h=0.1)],
                          [0.5])
     assert ok.shape == (2, 1, 3)
+
+
+def test_sample_currents_memory_stays_below_one_channel_per_config():
+    cfg = ModelConfig.default()
+    configs = [cfg.with_temperature("M", 4.0 + 0.05 * k) for k in range(120)]
+    sample_currents(configs[:1], [1.0])  # the shared core is built here
+    tracemalloc.start()
+    try:
+        sample_currents(configs, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the channels are mixed one config at a time, never stacked
+    assert peak < len(configs) * 64 * 64 * 16
 
 
 def probe_on_middle_qubit(cfg):
@@ -389,6 +407,9 @@ def test_fresh_ancilla_product_is_exactly_diagonal(kind):
                      T_R=25.0)
         env = Propagator(cfg).env_state
         assert np.count_nonzero(env - np.diag(np.diag(env))) == 0
+        # sample_currents' populations are that diagonal, bit for bit
+        assert np.array_equal(_populations([cfg])[0],
+                              np.diag(_fresh_env(cfg)).real)
 
 
 def test_core_keeps_one_conjugate_eigenvector_buffer():

@@ -174,13 +174,26 @@ def test_bad_bracket_rejected():
         find_critical_TM(coarse(), 0.5, (10.0, 4.0))
 
 
-def test_no_sign_change_reports_both_endpoints():
+def count_sample_currents(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine.sample_currents(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "sample_currents", counted)
+    return calls
+
+
+def test_no_sign_change_reports_both_endpoints(monkeypatch):
+    calls = count_sample_currents(monkeypatch)
     # the modulating derivative keeps one sign on [4, 10] at t = 1
     with pytest.raises(ValueError) as exc:
         find_critical_TM(ModelConfig.default(), 1.0, (4.0, 10.0))
     msg = str(exc.value)
     assert "no sign change" in msg
     assert "dJ(4.0) = " in msg and "dJ(10.0) = " in msg
+    assert len(calls) == 1  # both endpoints from one stencil call
 
 
 def test_bisection_brackets_a_real_root():
@@ -233,6 +246,39 @@ def test_time_sweep_matches_pointwise_amplification():
         assert point.alphas["L"].alpha == direct.alpha
         assert point.derivatives["M"] == direct.dJM_dTM
         assert point.derivatives["L"] == direct.dJX_dTM
+
+
+def test_temperature_sweep_is_one_stencil_call(monkeypatch):
+    calls = count_sample_currents(monkeypatch)
+    sw = sweep(coarse(), "T_M", [0.05, 5.0, 6.0, 7.5], t=0.5)
+    assert len(calls) == 1
+    assert len(calls[0][0]) == 5 * 3  # the out-of-domain point is left out
+    assert [p.error is None for p in sw.values] == [False, True, True, True]
+
+
+def test_temperature_sweep_matches_pointwise_amplification():
+    cfg = ModelConfig.default()
+    grid = [4.0, 5.5, 7.0, 8.5, 10.0]
+    sw = sweep(cfg, "T_M", grid, t=1.0)
+    for value, point in zip(grid, sw.values):
+        for x in ("L", "R"):
+            direct = amplification(cfg.with_temperature("M", value), 1.0, x)
+            assert point.alphas[x].alpha == direct.alpha
+            assert point.derivatives["M"] == direct.dJM_dTM
+            assert point.derivatives[x] == direct.dJX_dTM
+
+
+def test_an_error_inside_the_stencil_call_marks_every_point(monkeypatch):
+    def broken(cur):
+        raise FloatingPointError("current has imaginary residue 1.000e-03")
+
+    monkeypatch.setattr(engine, "_real_currents", broken)
+    sw = sweep(coarse(), "T_M", [5.0, 6.0, 7.5], t=0.5)
+    assert len(sw.values) == 3
+    for point in sw.values:
+        assert point.error == \
+            "FloatingPointError: current has imaginary residue 1.000e-03"
+        assert not point.alphas and not point.currents
 
 
 def test_sweep_worker_count_does_not_change_results(temperature_sweep):
