@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from . import __version__, metrics
 from .config import (ConfigError, RunConfig, manifest_parameters,
-                     parse_config, parse_set_overrides)
+                     parse_config, parse_set_overrides, sweep_ignored_keys)
 from .output import sweep_table, write_manifest, write_table
 from .scenarios import SCENARIOS, build_tables, scenario_names
 
@@ -83,6 +83,14 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             ) from None
         # --set t beats [sweep] t and [run] t like any other --set
         rc = parse_config(text, overrides.get("t"))
+        if rc.sweep is not None:
+            ignored = [k for k in sweep_ignored_keys(rc.sweep.axis)
+                       if k in overrides]
+            if ignored:
+                raise ConfigError(
+                    [f"--set {k}={overrides[k]!r}: {k} is not read by a "
+                     f"[sweep] run with axis = {rc.sweep.axis}"
+                     for k in ignored])
         if overrides:
             rc = dataclasses.replace(
                 rc, overrides={**rc.overrides, **overrides})

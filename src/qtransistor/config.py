@@ -32,7 +32,8 @@ from .nonmarkov import SearchConfig
 from .scenarios import RUN_OVERRIDE_KEYS, _make_config, scenario_names
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config",
-           "parse_set_overrides", "manifest_parameters"]
+           "parse_set_overrides", "manifest_parameters",
+           "sweep_ignored_keys"]
 
 
 class ConfigError(ValueError):
@@ -141,6 +142,12 @@ _SECTIONS = {"run": _RUN_KEYS, "model": _MODEL_KEYS, "sweep": _SWEEP_KEYS,
              "blp": _BLP_KEYS}
 
 
+def sweep_ignored_keys(axis: str) -> Tuple[str, ...]:
+    """Run keys that a [sweep] run along ``axis`` never reads: it has no
+    horizon, and an axis = t sweep takes its times from the grid."""
+    return ("t_max", "t") if axis == "t" else ("t_max",)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """An explicit one-axis sweep: grid plus evaluation settings."""
@@ -239,7 +246,8 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
     """Validate an INI document and resolve it into a RunConfig.
 
     ``t`` is an evaluation time given outside the document (``--set t``);
-    it beats ``t`` in [sweep] and [run].
+    it beats ``t`` in [sweep] and [run].  Run keys that a [sweep] run
+    would not read (``sweep_ignored_keys``) are rejected.
     """
     parser = _read_ini(text)
     lines = _line_map(text)
@@ -294,6 +302,12 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
     sweep_spec: Optional[SweepSpec] = None
     if has_sweep and not has_scenario:
         sw = values["sweep"]
+        ignored = sweep_ignored_keys(sw["axis"]) if "axis" in sw else ()
+        problems += [
+            f"{at(section, k)}{k} in [{section}] is not read by a [sweep] "
+            f"run with axis = {sw['axis']}"
+            for section in ("run", "sweep") for k in ignored
+            if k in values[section]]
         missing = [k for k in ("axis", "start", "stop", "step")
                    if k not in sw]
         for k in missing:

@@ -104,13 +104,8 @@ class BLPResult:
 
 def _full_initial(config: ModelConfig, terminal: str, probe: np.ndarray) -> np.ndarray:
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    factors = [
-        probe if x == terminal else ground for x in config.system_terminals
-    ]
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+    return la.kron(*[probe if x == terminal else ground
+                     for x in config.system_terminals])
 
 
 def _probe_marginals(config: ModelConfig, terminal: str,

@@ -25,3 +25,28 @@ def test_every_hooked_path_resolves_to_a_callable():
             assert hasattr(owner, attr), f"{path}: no attribute {attr!r}"
             owner = getattr(owner, attr)
         assert callable(owner), f"{path} is not callable"
+
+
+def test_engine_spans_follow_the_window_loop_of_evolve(monkeypatch):
+    # evolve builds one Propagator and steps it once per window, so the
+    # engine.Propagator and engine.collision spans time exactly that
+    from qtransistor import engine
+    from qtransistor.model import ModelConfig
+
+    child = _load_child()
+    tracer = child.Tracer()
+    for name in ("engine.evolve", "engine.Propagator", "engine.collision"):
+        for path in child.LAYERS[name]:
+            _, *attrs = path.split(".")
+            owner = engine
+            for attr in attrs[:-1]:
+                owner = getattr(owner, attr)
+            monkeypatch.setattr(owner, attrs[-1],
+                                tracer.span(name)(getattr(owner, attrs[-1])))
+    cfg = ModelConfig.default(sample_dt=0.1)
+    engine.evolve(cfg, 1.0)
+    names = [span[0] for span in tracer.spans]
+    windows = round(1.0 / cfg.dt_collision)
+    assert names == ["engine.evolve", "engine.Propagator"] + \
+        ["engine.collision"] * windows
+    assert all(span[3] == 0 for span in tracer.spans[1:])  # inside evolve

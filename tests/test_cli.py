@@ -200,6 +200,30 @@ def test_sweep_cross_field_rules():
             """))
 
 
+def test_sweep_rejects_run_keys_it_would_not_read():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(SWEEP_DOC.replace("t = 0.5\n", "t = 0.5\nt_max = 7.0\n"))
+    assert exc.value.problems == [
+        "line 3: t_max in [run] is not read by a [sweep] run with axis = T_M"]
+    on_t = doc("""
+        [run]
+        t = 1.0
+        [sweep]
+        axis = t
+        start = 0.5
+        stop = 1.0
+        step = 0.5
+        t = 1.0
+        """)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(on_t)
+    assert exc.value.problems == [
+        "line 2: t in [run] is not read by a [sweep] run with axis = t",
+        "line 8: t in [sweep] is not read by a [sweep] run with axis = t"]
+    # a scenario reads both keys
+    assert parse_config("[run]\nscenario = fig12\nt = 1.0\nt_max = 2.0\n")
+
+
 def test_combined_model_validation_runs_last():
     # each value is fine alone; together the grids don't divide
     with pytest.raises(ConfigError, match="model rejected"):
@@ -430,6 +454,28 @@ def test_set_t_supplies_a_sweep_time_the_file_lacks(tmp_path):
     table = "sweep_T_M.csv"
     assert (tmp_path / "set" / table).read_bytes() == \
         (tmp_path / "file" / table).read_bytes()
+
+
+def test_set_rejects_run_keys_a_sweep_would_not_read(tmp_path, capsys):
+    def run(text, name, *sets):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        args = [a for pair in sets for a in ("--set", pair)]
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         *args])
+        return code, out, capsys.readouterr().err
+
+    code, out, err = run(SWEEP_DOC, "t_max", "t_max=7.0")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "--set t_max=7.0: t_max is not read by a [sweep] run" in err
+    on_t = SWEEP_DOC.replace("[run]\nt = 0.5\n", "").replace(
+        "axis = T_M\nstart = 5.0\nstop = 6.0",
+        "axis = t\nstart = 0.5\nstop = 1.0")
+    code, out, err = run(on_t, "t", "t=1.0")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "--set t=1.0: t is not read by a [sweep] run with axis = t" in err
+    assert run(on_t, "plain")[0] == EXIT_OK
 
 
 def test_two_qubit_sweep_names_columns_after_the_modulating_bath(tmp_path):

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.engine import (Propagator, Trajectory,
-                                _batched_qubit_marginal, _fresh_env,
-                                _populations, evolve, initial_state,
-                                local_heat_current, sample_currents,
-                                sample_states)
+from qtransistor.engine import (Propagator, Trajectory, _populations,
+                                evolve, initial_state, local_heat_current,
+                                sample_currents, sample_states)
 from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
                                build_total_hamiltonian)
 
@@ -62,8 +60,8 @@ def test_first_collision_changes_the_state():
 def test_step_collision_matches_evolve():
     cfg = coarse()
     prop = Propagator(cfg)
-    rho, cur1, attach, _ = prop.collision(initial_state(3))
-    rho, cur2, _, _ = prop.collision(rho)
+    rho, cur1, attach = prop.collision(initial_state(3))
+    rho, cur2, _ = prop.collision(rho)
 
     traj = evolve(cfg, 1.0, store_states=True)
     stitched = np.concatenate([cur1, cur2])
@@ -135,10 +133,7 @@ def test_density_matrix_invariants_over_many_collisions():
 def test_qubit_marginals_consistent_with_full_states():
     cfg = coarse()
     full = evolve(cfg, 1.0, store_states=True)
-    channel = sample_states(cfg, [initial_state(3)], 1.0)[0]
     for i, x in enumerate(("L", "M", "R")):
-        direct = _batched_qubit_marginal(channel, 3, i)
-        assert np.max(np.abs(direct - full.qubit_states[x])) < 1e-12
         ref = np.stack([la.partial_trace(r, [2, 2, 2], [i])
                         for r in full.system_states])
         assert np.max(np.abs(ref - full.qubit_states[x])) < 1e-12
@@ -252,6 +247,7 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
     # ancilla (tau = 0) value
     ref_left, ref_right = [], []
     rho_sys = initial_state(cfg.n_qubits)
+    ref_states = [rho_sys]
     k = 0
     for c in range(2):  # collisions
         joint0 = la.kron(rho_sys, env_product(cfg))
@@ -267,6 +263,7 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
             joint = u @ joint0 @ u.conj().T
             ref = la.partial_trace(joint, dims, sites)
             assert np.max(np.abs(ref - traj.system_states[k])) < 1e-12
+            ref_states.append(ref)
             ref_left.append(currents(joint))
             ref_right.append(ref_left[-1])
         rho_sys = ref
@@ -277,12 +274,10 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
     for rho in traj.system_states:
         assert la.is_density_matrix(rho)
 
-    channel = sample_states(cfg, [initial_state(cfg.n_qubits)], 1.0)[0]
     for i, x in enumerate(cfg.system_terminals):
-        marg = _batched_qubit_marginal(channel, cfg.n_qubits, i)
         ref = np.stack([la.partial_trace(r, [2] * cfg.n_qubits, [i])
-                        for r in traj.system_states])
-        assert np.max(np.abs(marg - ref)) < 1e-12
+                        for r in ref_states])
+        assert np.max(np.abs(traj.qubit_states[x] - ref)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -382,15 +377,31 @@ def probe_on_middle_qubit(cfg):
                      for i in range(cfg.n_qubits)])
 
 
+def brute_force_states(cfg, rho0, n_windows):
+    """System state at every sample, from the dense joint unitary."""
+    h = build_total_hamiltonian(cfg)
+    dims, sites = cfg.joint_dims(), list(range(cfg.n_qubits))
+    steps = cfg.samples_per_collision
+    unitaries = [la.unitary_exp(h, s * cfg.sample_dt)
+                 for s in range(1, steps + 1)]
+    out = [rho0]
+    for _ in range(n_windows):
+        joint0 = la.kron(out[-1], env_product(cfg))
+        out += [la.partial_trace(u @ joint0 @ u.conj().T, dims, sites)
+                for u in unitaries]
+    return np.stack(out)
+
+
 @pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
 def test_sample_states_match_evolve_at_every_sample(name):
+    # evolve stores sample_states' states, so the reference is brute force
     cfg = CHANNEL_MODELS[name]
     initials = [initial_state(cfg.n_qubits), probe_on_middle_qubit(cfg)]
     got = sample_states(cfg, initials, 1.0)  # two windows of five rows
     assert got.shape == (2, 11) + initials[0].shape
     for rho0, states in zip(initials, got):
-        ref = evolve(cfg, 1.0, store_states=True, initial=rho0)
-        assert np.max(np.abs(states - ref.system_states)) < 1e-12
+        ref = brute_force_states(cfg, rho0, 2)
+        assert np.max(np.abs(states - ref)) < 1e-12
     assert sample_states(cfg, initials[:1], 0.0).shape == \
         (1, 1) + initials[0].shape
     with pytest.raises(ValueError, match="whole number"):
@@ -405,16 +416,14 @@ def test_fresh_ancilla_product_is_exactly_diagonal(kind):
     for attach_R in (True, False):
         cfg = coarse(kind=kind, attach_R=attach_R, T_L=0.7, T_M=3.3,
                      T_R=25.0)
-        env = Propagator(cfg).env_state
+        env = env_product(cfg)
         assert np.count_nonzero(env - np.diag(np.diag(env))) == 0
-        # sample_currents' populations are that diagonal, bit for bit
-        assert np.array_equal(_populations([cfg])[0],
-                              np.diag(_fresh_env(cfg)).real)
+        # the channel's populations are that diagonal, bit for bit
+        assert np.array_equal(_populations([cfg])[0], np.diag(env).real)
 
 
 def test_core_keeps_one_conjugate_eigenvector_buffer():
     core = Propagator(ModelConfig.default()).core
-    assert np.shares_memory(core.vh, core.v_env)
 
     def root(a):
         while a.base is not None:
