@@ -6,17 +6,30 @@ the total Hamiltonian for one window, intra-window samples are recorded,
 and the ancillas are traced out and discarded.  Windows are back to
 back; there is no free evolution between them.
 
-The total Hamiltonian (eigenvalues w) is diagonalized once per parameter
-set and cached; a sample at tau into a window is then fixed by the phase
-vector u = exp(-i tau w).  The system state moves only on the window
-channel below, in ``sample_states``, ``sample_currents`` and ``evolve``
-alike.  ``evolve`` (``metrics.current_at``'s route) keeps the joint
-eigenbasis for its dense current rows alone: each current at every sample
-of a window is one contraction of the attach-time eigenbasis state with
-u, so one basis change per window serves all of them.  Building row
+Each qubit couples to its ancilla through sx (x) Sx and every other term
+of the total Hamiltonian is diagonal, so H_tot commutes with the parity
+P = prod_qubits sz (x) prod_ancillas (-1)^m (``model.parity_diagonal``)
+and splits into two equal blocks, 108 + 108 at the default 216 joint
+dimensions.  Each block is diagonalized once per parameter set and cached
+(eigenvalues w, eigenvectors V per sector); a sample at tau into a window
+is then fixed by the phase vectors u = exp(-i tau w).  Nothing is lost:
+the window unitary U is block-diagonal, and each current generator
+K_X = i [H_X, H_tot] commutes with P because H_X is diagonal, so
+Tr(rho K_X) reads only the sector blocks of any state rho, the BLP probe
+states included.  Every product with the eigenvectors runs per sector;
+U and the row functionals' V diag(u) are scattered into d x d matrices
+only where their consumers read them whole.
+
+The system state moves only on the window channel below, in
+``sample_states``, ``sample_currents`` and ``evolve`` alike.  ``evolve``
+(``metrics.current_at``'s route) keeps the sector eigenbases for its
+dense current rows alone: each current at every sample of a window is
+one contraction per sector of the attach-time eigenbasis state with u,
+so one basis change per window serves all of them.  Building row
 functionals (as ``sample_currents`` does) for all 50 rows of a window
-costs more than ten times a whole ``evolve`` over two windows: 0.25 s
-against 21 ms on a 2-vCPU Xeon with OpenBLAS.
+costs about twenty times a whole ``evolve`` over two windows: 0.19 s
+against 8.6 ms on a 2-vCPU Xeon with OpenBLAS.
+
 Heat currents come from the conserved-commutator form
 
     J_X = -Tr(rhodot_X H_X),   rhodot_X = Tr_rest(-i [H_tot, rho]),
@@ -35,9 +48,9 @@ conj(U_fe), and bath temperatures enter only through p, so one H_tot
 serves every temperature.  A call builds the d_env pieces once, as one
 batched GEMM, and mixes each config's 64x64 channel from them one config
 at a time; stacking every config's channel would hold 64 KB per config.
-p comes from one thermal state per distinct (terminal, temperature) in
-the call.  A current at phase row s of window n is a linear functional of
-rho_n:
+p comes from the Boltzmann weights of the diagonal ancilla Hamiltonian,
+once per distinct (terminal, temperature) in the call.  A current at
+phase row s of window n is a linear functional of rho_n:
 
     J_X = sum_e p_e <C_{s,e}, rho_n>,
 
@@ -62,13 +75,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import hermitian_eig, partial_trace
-from .model import (ModelConfig, SpinOps, ancilla_thermal_state,
-                    build_total_hamiltonian, embed)
+from .model import (ModelConfig, SpinOps, build_env_local_hamiltonian,
+                    build_total_hamiltonian, parity_diagonal)
 
 BOUNDARY_SIDES = ("left", "right")
 
@@ -86,31 +99,58 @@ def initial_state(n_qubits: int = 3) -> np.ndarray:
     return rho
 
 
+class _Sector(NamedTuple):
+    """Spectral data of H_tot on one parity sector."""
+
+    index: np.ndarray  # joint-space indices of the sector
+    w: np.ndarray  # eigenvalues
+    v: np.ndarray  # eigenvectors, rows in ``index`` order
+    current_ops: np.ndarray  # K_X'^T per terminal, in this eigenbasis
+
+
 class _Core:
-    """Spectral data shared by every run with the same H_tot."""
+    """Spectral data shared by every run with the same H_tot.
+
+    H_tot commutes with the parity P (``model.parity_diagonal``), so it is
+    diagonalized in the two sectors P = +1 and P = -1 separately.
+    """
 
     def __init__(self, config: ModelConfig):
-        self.dims = config.joint_dims()
-        self.d = int(np.prod(self.dims))
+        dims = config.joint_dims()
+        self.d = int(np.prod(dims))
         self.d_sys = 2 ** config.n_qubits
         self.terminals = config.system_terminals
 
         h_tot = build_total_hamiltonian(config)
-        w, v = hermitian_eig(h_tot)
-        self.w = w
-        self.v = v
-        self.vh = v.conj().T
+        parity = parity_diagonal(config)
+        even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+        if np.any(h_tot[np.ix_(even, odd)]) or \
+                np.any(h_tot[np.ix_(odd, even)]):
+            raise ValueError("H_tot does not commute with the parity")
 
-        # current generators K_X = i [H_X, H_tot]; in the eigenbasis
+        # H_X = -(omega_X / 2) sz_X is diagonal, sz_X = 1 - 2 m_X for
+        # qubit X's level m_X; the current generators
+        # K_X = i [H_X, H_tot] in a sector eigenbasis are
         # K'_jk = i (H_X')_jk (w_k - w_j), so J_X = Tr(rho' K_X')
-        gap = w[None, :] - w[:, None]
-        ops = []
-        for i, t in enumerate(self.terminals):
-            h_x = -(config.splitting(t) / 2.0) * embed(
-                SpinOps.sz_half, i, self.dims)
-            h_x_eig = self.vh @ h_x @ self.v
-            ops.append((1j * h_x_eig * gap).T)
-        self.current_ops = np.stack(ops)  # K^T per terminal
+        levels = np.indices(dims).reshape(len(dims), -1)
+        h_x = [-(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
+               for i, t in enumerate(self.terminals)]
+        self.sectors = []
+        for index in (even, odd):
+            w, v = hermitian_eig(h_tot[np.ix_(index, index)])
+            gap = w[None, :] - w[:, None]
+            ops = [(1j * (v.conj().T @ (h[index, None] * v)) * gap).T
+                   for h in h_x]
+            self.sectors.append(_Sector(index, w, v, np.stack(ops)))
+
+
+def _block_diagonal(core: _Core, blocks) -> np.ndarray:
+    """The d x d matrix holding ``blocks[b]`` on parity sector b's indices
+    (rows and columns) and zeros elsewhere."""
+    out = np.zeros((core.d, core.d), dtype=np.complex128)
+    for sec, block in zip(core.sectors, blocks):
+        out[np.ix_(sec.index, sec.index)] = block
+    return out
 
 
 def _expectations(a: np.ndarray, ops_t: np.ndarray,
@@ -166,25 +206,38 @@ class Propagator:
         # row s holds exp(-i tau_s w) at tau_s = s * sample_dt; row 0 is
         # the attach instant, where every phase is 1
         taus = config.sample_dt * np.arange(self.n_steps + 1)
-        self.phases = np.exp(-1j * np.multiply.outer(taus, self.core.w))
+        self.phases = [np.exp(-1j * np.multiply.outer(taus, sec.w))
+                       for sec in self.core.sectors]
         # the fresh ancillas' populations; their state is diag(p)
         self.p = _populations([config])[0]
         self.channel = _channel(self.core, config.dt_collision, self.p)
         self.terminals = self.core.terminals
 
-    def _to_eigenbasis(self, rho_sys: np.ndarray) -> np.ndarray:
-        joint = np.kron(rho_sys, np.diag(self.p))
-        return self.core.vh @ joint @ self.core.v
+    def _to_eigenbasis(self, rho_sys: np.ndarray) -> list:
+        """Each sector's block of the attach state kron(rho_sys, diag(p)),
+        in that sector's eigenbasis."""
+        out = []
+        for sec in self.core.sectors:
+            a, f = np.divmod(sec.index, len(self.p))
+            joint = rho_sys[np.ix_(a, a)] * np.where(
+                f[:, None] == f, self.p[f], 0.0)
+            out.append(sec.v.conj().T @ joint @ sec.v)
+        return out
 
-    def _currents(self, a: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """J_X for each phase row, shape (len(phases), n_terminals)."""
-        return _real_currents(
-            _expectations(a, self.core.current_ops, phases))
+    def _currents(self, blocks: list, rows: slice) -> np.ndarray:
+        """J_X for each phase row in ``rows``, shape (n_rows, n_terminals).
+
+        K_X commutes with the parity, so only the sector blocks of the
+        attach state contribute, and J_X is the sum over the sectors.
+        """
+        return _real_currents(sum(
+            _expectations(a, sec.current_ops, ph[rows])
+            for a, sec, ph in zip(blocks, self.core.sectors, self.phases)))
 
     def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
         """J_X the instant fresh ancillas are attached (tau = 0+)."""
         return self._currents(self._to_eigenbasis(rho_sys),
-                              self.phases[:1])[0]
+                              slice(0, 1))[0]
 
     def collision(self, rho_sys: np.ndarray):
         """Evolve one window from ``rho_sys``.
@@ -194,7 +247,7 @@ class Propagator:
         (n_steps, n_terminals), sampled at tau = sample_dt .. window; and
         the tau = 0 row.
         """
-        cur = self._currents(self._to_eigenbasis(rho_sys), self.phases)
+        cur = self._currents(self._to_eigenbasis(rho_sys), slice(None))
         rho_end = _hermitized((self.channel @ rho_sys.reshape(-1)).reshape(
             rho_sys.shape))
         return rho_end, cur[1:], cur[0]
@@ -332,7 +385,8 @@ def _window_unitary(core: _Core, tau: float) -> np.ndarray:
     and ancilla indices f, e, so U_fe = U[:, f, :, e]."""
     d_sys = core.d_sys
     d_env = core.d // d_sys
-    u = (core.v * np.exp(-1j * tau * core.w)) @ core.vh
+    u = _block_diagonal(core, [(sec.v * np.exp(-1j * tau * sec.w))
+                               @ sec.v.conj().T for sec in core.sectors])
     return u.reshape(d_sys, d_env, d_sys, d_env)
 
 
@@ -366,11 +420,31 @@ def _channel_pieces(core: _Core, tau: float) -> np.ndarray:
     return kraus @ kraus.conj().swapaxes(1, 2)
 
 
+def _boltzmann_weights(config: ModelConfig, terminal: str) -> np.ndarray:
+    """Populations of one fresh ancilla at its terminal's temperature.
+
+    The ancilla Hamiltonian is diagonal, so these are Boltzmann weights of
+    its diagonal, normalized with the sum taken in ascending-energy order;
+    that is the diagonal ``model.ancilla_thermal_state`` finds through
+    ``eigh``, bit for bit.
+    """
+    h = build_env_local_hamiltonian(config.env)
+    e = np.diag(h).real
+    if np.count_nonzero(h - np.diag(e)):
+        raise ValueError("ancilla Hamiltonian is not diagonal")
+    order = np.argsort(e, kind="stable")
+    weights = np.exp(-(1.0 / config.env.temperature(terminal))
+                     * (e[order] - e.min()))
+    p = np.empty_like(weights)
+    p[order] = weights / weights.sum()
+    return p
+
+
 def _populations(configs) -> np.ndarray:
     """Fresh-ancilla populations p_e, shape (len(configs), d_env).
 
-    One thermal state per distinct (terminal, temperature); the diagonals
-    are multiplied in ``attached_terminals`` order, so each row is the
+    One set of weights per distinct (terminal, temperature); they are
+    multiplied in ``attached_terminals`` order, so each row is the
     diagonal of the kron product of the fresh ancilla states, bit for bit.
     """
     diagonals = {}
@@ -380,8 +454,7 @@ def _populations(configs) -> np.ndarray:
         for t in config.attached_terminals:
             key = (t, config.env.temperature(t))
             if key not in diagonals:
-                diagonals[key] = np.diag(
-                    ancilla_thermal_state(config.env, t)).real
+                diagonals[key] = _boltzmann_weights(config, t)
             p = np.multiply.outer(p, diagonals[key]).ravel()
         rows.append(p)
     return np.stack(rows)
@@ -478,15 +551,23 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
             states[c, i] = rho.reshape(-1)
 
     # per row s and terminal, C[e] = e-diagonal block of conj(P) K'^T P^T
-    # with P = V diag(conj(u_s)); then J = sum_e p_e <C[e], rho_n>
+    # with P = V diag(conj(u_s)), where V and K' are block-diagonal over
+    # the parity sectors; then J = sum_e p_e <C[e], rho_n>
     cur = np.empty((len(configs), len(index), len(core.terminals)),
                    dtype=np.complex128)
     for s in np.unique(row):
-        ph = core.v * np.exp(-1j * (dt * s) * core.w).conj()
-        ph_conj = ph.conj().reshape(d_sys, d_env, -1).transpose(1, 0, 2)
-        blocks = np.stack([
-            ph_conj @ (ph @ op.T).reshape(d_sys, d_env, -1).transpose(
-                1, 2, 0) for op in core.current_ops])
+        ph = [sec.v * np.exp(-1j * (dt * s) * sec.w).conj()
+              for sec in core.sectors]
+        ph_conj = _block_diagonal(core, ph).conj().reshape(
+            d_sys, d_env, -1).transpose(1, 0, 2)
+        blocks = []
+        for x in range(len(core.terminals)):
+            # P K_X', one GEMM per parity sector
+            pk = _block_diagonal(core, [b @ sec.current_ops[x].T
+                                        for b, sec in zip(ph, core.sectors)])
+            blocks.append(ph_conj @ pk.reshape(d_sys, d_env, -1).transpose(
+                1, 2, 0))
+        blocks = np.stack(blocks)
         # one small product per config, so that a config reads the same
         # bits whatever else shares the call
         func = p[:, None] @ blocks.swapaxes(0, 1).reshape(d_env, -1)
@@ -502,7 +583,7 @@ def local_heat_current(joint_state: np.ndarray, h_total: np.ndarray,
 
     Positive values mean energy leaving qubit X.  This is the direct
     commutator-plus-partial-trace evaluation; the propagator computes
-    the same quantity through the cached eigenbasis.
+    the same quantity through the cached sector eigenbases.
     """
     if terminal not in config.system_terminals:
         raise ValueError(

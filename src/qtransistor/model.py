@@ -306,6 +306,24 @@ def build_interaction_hamiltonian(g: float, env: EnvSpec,
     return h
 
 
+def parity_diagonal(config: ModelConfig) -> np.ndarray:
+    """Diagonal of the parity P = prod_qubits sz (x) prod_ancillas (-1)^m.
+
+    Qubits and qubit ancillas contribute diag(1, -1), qutrit ancillas
+    diag(-1, 1, -1), in ``joint_dims`` order.  Each sx (x) Sx coupling
+    flips the parity of both its factors and every other term of H_tot is
+    diagonal, so H_tot commutes with P.
+    """
+    qubit = np.array([1.0, -1.0])
+    ancilla = qubit if config.env.kind == "qubit" else \
+        np.array([-1.0, 1.0, -1.0])
+    p = np.ones(1)
+    for factor in [qubit] * config.n_qubits + \
+            [ancilla] * len(config.attached_terminals):
+        p = np.multiply.outer(p, factor).ravel()
+    return p
+
+
 def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:
     """H_sys + sum of ancilla Hamiltonians + interaction, joint space."""
     n = config.n_qubits

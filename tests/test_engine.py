@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtransistor import engine
 from qtransistor import linalg as la
-from qtransistor.engine import (Propagator, Trajectory, _populations,
-                                evolve, initial_state, local_heat_current,
-                                sample_currents, sample_states)
-from qtransistor.model import (ENV_KINDS, ModelConfig, ancilla_thermal_state,
-                               build_total_hamiltonian)
+from qtransistor.engine import (Propagator, Trajectory, _Core, _populations,
+                                _window_unitary, evolve, initial_state,
+                                local_heat_current, sample_currents,
+                                sample_states)
+from qtransistor.model import (ENV_KINDS, ModelConfig, SpinOps,
+                               ancilla_thermal_state,
+                               build_total_hamiltonian, embed)
 
 
 def coarse(**over):
@@ -311,7 +314,33 @@ CHANNEL_MODELS = {
     "qubit": coarse(kind="qubit"),
     "nonlinear": coarse(kind="qutrit-nonlinear", epsilon=-0.4),
     "no_R": coarse(attach_R=False),
+    "detached": coarse(attach_L=False, attach_M=False, attach_R=False),
+    "two_qubit": coarse(n_qubits=2, kind="qubit"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_window_unitary_matches_dense_exponential(name):
+    # the core's parity sectors against exp(-i tau H_tot) of the full H
+    cfg = CHANNEL_MODELS[name]
+    core = _Core(cfg)
+    h = build_total_hamiltonian(cfg)
+    assert sum(len(sec.index) for sec in core.sectors) == len(h)
+    for tau in (cfg.sample_dt, cfg.dt_collision):
+        u = _window_unitary(core, tau).reshape(h.shape)
+        assert np.max(np.abs(u - la.unitary_exp(h, tau))) < 1e-12
+
+
+def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
+    cfg = coarse()
+
+    def with_lone_sx(config):
+        h = build_total_hamiltonian(config)
+        return h + 0.1 * embed(SpinOps.sx_half, 0, config.joint_dims())
+
+    monkeypatch.setattr(engine, "build_total_hamiltonian", with_lone_sx)
+    with pytest.raises(ValueError, match="parity"):
+        _Core(cfg)
 
 
 @pytest.mark.parametrize("boundary", ("left", "right"))
@@ -422,7 +451,7 @@ def test_fresh_ancilla_product_is_exactly_diagonal(kind):
         assert np.array_equal(_populations([cfg])[0], np.diag(env).real)
 
 
-def test_core_keeps_one_conjugate_eigenvector_buffer():
+def test_core_keeps_its_spectral_data_per_parity_sector():
     core = Propagator(ModelConfig.default()).core
 
     def root(a):
@@ -430,9 +459,13 @@ def test_core_keeps_one_conjugate_eigenvector_buffer():
             a = a.base
         return a
 
-    buffers = {id(root(a)): root(a) for a in vars(core).values()
-               if isinstance(a, np.ndarray)}
-    d, n_terms = core.d, len(core.terminals)
-    # w, V, conj(V) and one current generator per terminal
+    arrays = [a for a in vars(core).values() if isinstance(a, np.ndarray)]
+    arrays += [a for sec in core.sectors for a in sec]
+    buffers = {id(root(a)): root(a) for a in arrays}
+    sizes = [len(sec.index) for sec in core.sectors]
+    assert sizes == [108, 108]
+    n_terms = len(core.terminals)
+    # per sector of size n: its indices, w, V and one current generator
+    # per terminal, each n x n
     assert sum(b.nbytes for b in buffers.values()) == \
-        d * 8 + (2 + n_terms) * d * d * 16
+        sum(2 * n * 8 + (1 + n_terms) * n * n * 16 for n in sizes)

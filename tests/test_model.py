@@ -1,15 +1,20 @@
 """Hamiltonian builders and configuration plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.model import (CouplingConfig, EnvSpec, ModelConfig, SpinOps,
-                               ancilla_thermal_state,
+from qtransistor.model import (ENV_KINDS, CouplingConfig, EnvSpec,
+                               ModelConfig, SpinOps, ancilla_thermal_state,
                                build_env_local_hamiltonian,
                                build_interaction_hamiltonian,
                                build_system_hamiltonian,
-                               build_total_hamiltonian, embed, embed_pair)
+                               build_total_hamiltonian, embed, embed_pair,
+                               parity_diagonal)
 
 
 def swap_LR_3q():
@@ -199,3 +204,25 @@ def test_two_qubit_variant():
     # <00| -omega_L/2 sz - omega_R/2 sz - omega_LR sz sz |00>
     assert h[0, 0].real == pytest.approx(-0.5 - 1.0 - 5.0)
     assert build_total_hamiltonian(cfg).shape == (36, 36)
+
+
+@pytest.mark.parametrize("n_qubits", (2, 3))
+@pytest.mark.parametrize("kind", ENV_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9))
+def test_total_hamiltonian_commutes_exactly_with_the_parity(
+        kind, n_qubits, values):
+    g, epsilon, env_delta, *omegas = values
+    coupling = CouplingConfig(*omegas)
+    for attach in itertools.product((True, False), repeat=3):
+        env = EnvSpec(kind=kind, delta=env_delta, epsilon=epsilon,
+                      **dict(zip(("attach_L", "attach_M", "attach_R"),
+                                 attach)))
+        cfg = ModelConfig(coupling=coupling, env=env, g=g,
+                          n_qubits=n_qubits)
+        h = build_total_hamiltonian(cfg)
+        p = parity_diagonal(cfg)
+        assert p.shape == (h.shape[0],)
+        assert set(p) == {1.0, -1.0}
+        # H diag(P) - diag(P) H, elementwise
+        assert np.count_nonzero(h * p - p[:, None] * h) == 0
