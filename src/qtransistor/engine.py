@@ -6,29 +6,14 @@ the total Hamiltonian for one window, intra-window samples are recorded,
 and the ancillas are traced out and discarded.  Windows are back to
 back; there is no free evolution between them.
 
-Each qubit couples to its ancilla through sx (x) Sx and every other term
-of the total Hamiltonian is diagonal, so H_tot commutes with the parity
-P = prod_qubits sz (x) prod_ancillas (-1)^m (``model.parity_diagonal``)
-and splits into two equal blocks, 108 + 108 at the default 216 joint
-dimensions.  Each block is diagonalized once per parameter set and cached
-(eigenvalues w, eigenvectors V per sector); a sample at tau into a window
-is then fixed by the phase vectors u = exp(-i tau w).  Nothing is lost:
-the window unitary U is block-diagonal, and each current generator
-K_X = i [H_X, H_tot] commutes with P because H_X is diagonal, so
-Tr(rho K_X) reads only the sector blocks of any state rho, the BLP probe
-states included.  Every product with the eigenvectors runs per sector;
-U and the row functionals' V diag(u) are scattered into d x d matrices
-only where their consumers read them whole.
-
-The system state moves only on the window channel below, in
-``sample_states``, ``sample_currents`` and ``evolve`` alike.  ``evolve``
-(``metrics.current_at``'s route) keeps the sector eigenbases for its
-dense current rows alone: each current at every sample of a window is
-one contraction per sector of the attach-time eigenbasis state with u,
-so one basis change per window serves all of them.  Building row
-functionals (as ``sample_currents`` does) for all 50 rows of a window
-costs about twenty times a whole ``evolve`` over two windows: 0.19 s
-against 8.6 ms on a 2-vCPU Xeon with OpenBLAS.
+Each qubit X couples only to its own ancilla, through sx (x) Sx, and
+every other term of the total Hamiltonian is diagonal, so every local
+parity P_X = sz_X (x) (-1)^m_X (``model.local_parities``) commutes with
+H_tot.  H_tot splits into the 2^n sectors of their joint eigenvalues,
+all of one size: 8 sectors of 27 at the default 216 joint dimensions.
+Each sector is diagonalized once per parameter set and cached
+(eigenvalues w, eigenvectors V); the window unitary at tau is fixed by
+the phases u = exp(-i tau w).
 
 Heat currents come from the conserved-commutator form
 
@@ -36,38 +21,40 @@ Heat currents come from the conserved-commutator form
 
 with the sign chosen so that heat leaving qubit X is positive.
 
-``sample_currents`` reads currents at chosen times only, from the window
-channel.  The fresh ancilla state sigma = diag(p) is diagonal, so one
-window maps the system state rho_n to
+Currents run on a population chain.  The fresh ancilla state diag(p) is
+diagonal, and each current generator K_X = i [H_X, H_tot] commutes with
+every P_Y, so a current reads only the 2^n system populations pi,
+whatever coherences the system state carries, and the populations evolve
+among themselves.  Window to window the transistor is a Markov chain
+
+    pi_{n+1} = T pi_n,   T = sum_e p_e T_e,
+    T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2,   U = exp(-i dt H_tot),
+
+with T column-stochastic.  The current at phase row s of window n,
+tau_s = s * sample_dt after the attach, is
+
+    J_X = sum_{a, e} pi_n[a] p_e c_s^X[(a, e)],
+    c_s^X[i] = <i| U_s^dagger K_X U_s |i>,
+
+a diagonal functional that each sector gives as
+rowsum((W_s K_X') o conj(W_s)), with W_s = V diag(conj(u_s)) and K_X' the
+generator in the sector eigenbasis.  T and c are linear in p, and bath
+temperatures enter only through p, so one core serves every temperature.
+A detached X has K_X = 0 exactly, and its current is an exact zero.
+``evolve`` (through ``Propagator``) and ``sample_currents`` share these
+helpers, each product taken per phase row and per config, so a config
+reads the same bits from either, alone or in a batch, at any subset of
+times.
+
+``sample_states`` returns whole system states, coherences included, for
+the backflow search.  Each initial state is carried from window to window
+by the 64x64 window channel
 
     rho_{n+1} = sum_{f,e} p_e U_fe rho_n U_fe^dagger,
 
-with U_fe the system blocks of U = exp(-i dt H_tot).  The channel is
-linear in p, S = sum_e p_e S_e with pieces S_e = sum_f U_fe (x)
-conj(U_fe), and bath temperatures enter only through p, so one H_tot
-serves every temperature.  A call builds the d_env pieces once, as one
-batched GEMM, and mixes each config's 64x64 channel from them one config
-at a time; stacking every config's channel would hold 64 KB per config.
-p comes from the Boltzmann weights of the diagonal ancilla Hamiltonian,
-once per distinct (terminal, temperature) in the call.  A current at
-phase row s of window n is a linear functional of rho_n:
-
-    J_X = sum_e p_e <C_{s,e}, rho_n>,
-
-where C_{s,e} is the e-diagonal block of
-conj(V) diag(u_s) K_X'^T diag(conj(u_s)) V^T.  One C per phase row
-serves every config and window.  Each config goes through the same
-operations whatever else shares the call, so it reads the same bits alone
-or in a batch.  These currents agree with ``evolve``'s to round-off, not
-bit for bit: the two sum in different orders.
-
-``sample_states`` returns the system state at every sample, for the
-backflow search.  Each initial state is carried from window to window by
-the same channel, and the sample at row s of a window is the channel at
-tau_s = s * sample_dt applied to the state at the window's start.  It has
-one p and a channel per row offset, so it contracts p inside one GEMM
-over (f, e) per channel instead of building pieces for each tau, which
-would make every channel dearer.
+with U_fe the system blocks of U, and the sample at row s of a window is
+the channel at tau_s applied to the state at the window's start.
+``evolve(store_states=True)`` stores those states.
 """
 
 from __future__ import annotations
@@ -81,7 +68,7 @@ import numpy as np
 
 from .linalg import hermitian_eig, partial_trace
 from .model import (ModelConfig, SpinOps, build_env_local_hamiltonian,
-                    build_total_hamiltonian, parity_diagonal)
+                    build_total_hamiltonian, local_parities)
 
 BOUNDARY_SIDES = ("left", "right")
 
@@ -100,19 +87,24 @@ def initial_state(n_qubits: int = 3) -> np.ndarray:
 
 
 class _Sector(NamedTuple):
-    """Spectral data of H_tot on one parity sector."""
+    """Spectral data of H_tot on one local-parity sector."""
 
-    index: np.ndarray  # joint-space indices of the sector
+    index: np.ndarray  # joint-space indices of the sector, ascending
     w: np.ndarray  # eigenvalues
     v: np.ndarray  # eigenvectors, rows in ``index`` order
-    current_ops: np.ndarray  # K_X'^T per terminal, in this eigenbasis
+    current_ops: np.ndarray  # K_X' per terminal, in this eigenbasis
 
 
 class _Core:
     """Spectral data shared by every run with the same H_tot.
 
-    H_tot commutes with the parity P (``model.parity_diagonal``), so it is
-    diagonalized in the two sectors P = +1 and P = -1 separately.
+    H_tot commutes with each local parity P_X (``model.local_parities``),
+    so it is diagonalized in the 2^n sectors of their joint eigenvalues.
+    A qubit and its ancilla's levels split evenly between P_X = +1 and
+    -1, so every sector holds d_env joint states, and the spectral data
+    are stacked over the sectors: ``index`` and ``w`` of shape
+    (d_sys, d_env), ``v`` of (d_sys, d_env, d_env) and ``current_ops`` of
+    (d_sys, n_terminals, d_env, d_env).
     """
 
     def __init__(self, config: ModelConfig):
@@ -122,47 +114,38 @@ class _Core:
         self.terminals = config.system_terminals
 
         h_tot = build_total_hamiltonian(config)
-        parity = parity_diagonal(config)
-        even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
-        if np.any(h_tot[np.ix_(even, odd)]) or \
-                np.any(h_tot[np.ix_(odd, even)]):
-            raise ValueError("H_tot does not commute with the parity")
+        # sector label: bit X is set where P_X = -1
+        label = 2 ** np.arange(config.n_qubits) @ \
+            (local_parities(config) < 0).astype(int)
+        if np.any(h_tot[label[:, None] != label]):
+            raise ValueError("H_tot does not commute with every local parity")
+        self.index = np.argsort(label, kind="stable").reshape(self.d_sys, -1)
+        spectra = [hermitian_eig(h_tot[np.ix_(i, i)]) for i in self.index]
+        self.w = np.stack([w for w, _ in spectra])
+        self.v = np.stack([v for _, v in spectra])
 
         # H_X = -(omega_X / 2) sz_X is diagonal, sz_X = 1 - 2 m_X for
         # qubit X's level m_X; the current generators
         # K_X = i [H_X, H_tot] in a sector eigenbasis are
-        # K'_jk = i (H_X')_jk (w_k - w_j), so J_X = Tr(rho' K_X')
+        # K'_jk = i (H_X')_jk (w_k - w_j)
         levels = np.indices(dims).reshape(len(dims), -1)
-        h_x = [-(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
-               for i, t in enumerate(self.terminals)]
-        self.sectors = []
-        for index in (even, odd):
-            w, v = hermitian_eig(h_tot[np.ix_(index, index)])
-            gap = w[None, :] - w[:, None]
-            ops = [(1j * (v.conj().T @ (h[index, None] * v)) * gap).T
-                   for h in h_x]
-            self.sectors.append(_Sector(index, w, v, np.stack(ops)))
+        h_x = np.stack([-(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
+                        for i, t in enumerate(self.terminals)])
+        h_v = h_x[:, self.index].transpose(1, 0, 2)[..., None] * \
+            self.v[:, None]
+        gap = self.w[:, None, :] - self.w[:, :, None]
+        self.current_ops = 1j * (self.v.conj().swapaxes(1, 2)[:, None]
+                                 @ h_v) * gap[:, None]
+        for x, t in enumerate(self.terminals):
+            if not config.env.is_attached(t):
+                # no coupling: H_X commutes with H_tot
+                self.current_ops[:, x] = 0.0
 
-
-def _block_diagonal(core: _Core, blocks) -> np.ndarray:
-    """The d x d matrix holding ``blocks[b]`` on parity sector b's indices
-    (rows and columns) and zeros elsewhere."""
-    out = np.zeros((core.d, core.d), dtype=np.complex128)
-    for sec, block in zip(core.sectors, blocks):
-        out[np.ix_(sec.index, sec.index)] = block
-    return out
-
-
-def _expectations(a: np.ndarray, ops_t: np.ndarray,
-                  phases: np.ndarray) -> np.ndarray:
-    """Tr(rho'(tau_s) O), shape (len(phases), len(ops_t)), for the
-    eigenbasis attach state ``a`` and operators given as transposes.
-
-    rho'(tau_s)_jk = a_jk u_sj conj(u_sk), so the trace is one batched
-    GEMM over k followed by a row-wise contraction over j.
-    """
-    half = (a[None] * ops_t) @ phases.conj().T  # (n_ops, d, n_rows)
-    return np.einsum("sj,mjs->sm", phases, half)
+    @property
+    def sectors(self) -> list:
+        """One view of the stacked spectral data per sector."""
+        return [_Sector(*parts) for parts in
+                zip(self.index, self.w, self.v, self.current_ops)]
 
 
 def _real_currents(cur: np.ndarray) -> np.ndarray:
@@ -196,61 +179,68 @@ def _core_for(config: ModelConfig) -> _Core:
     return _cached_core(key)
 
 
+def _mix(pieces: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_e p[c, e] pieces[..., e] for each row c of ``p``, shape
+    (len(p),) + pieces.shape[:-1].
+
+    One product per config, so that a config reads the same bits
+    whatever else shares the call.
+    """
+    flat = pieces.reshape(-1, pieces.shape[-1])
+    return (flat @ p[:, :, None]).reshape(p.shape[:1] + pieces.shape[:-1])
+
+
+def _transfer(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
+    """Population map T over ``tau`` for each row of ``p``, shape
+    (len(p), d_sys, d_sys), with T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2."""
+    u = _window_unitary(core, tau)
+    return _mix((u.real ** 2 + u.imag ** 2).sum(axis=1), p)
+
+
+def _functionals(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
+    """Current functionals at ``tau`` into a window for each row of ``p``,
+    shape (len(p), n_terminals, d_sys): J_X = F[c, X] . pi for config c
+    whose window started at the populations pi."""
+    w = core.v * np.exp(1j * tau * core.w)[:, None, :]  # V diag(conj(u))
+    c = _real_currents(np.sum((w[:, None] @ core.current_ops)
+                              * w[:, None].conj(), axis=-1))
+    joint = np.empty((len(core.terminals), core.d))
+    joint[:, core.index] = c.transpose(1, 0, 2)
+    return _mix(joint.reshape(len(core.terminals), core.d_sys, -1), p)
+
+
+def _read(functionals: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Currents F . pi over the last axis, taken elementwise and summed,
+    so each value has the same bits whatever shape the batch has."""
+    return np.sum(functionals * pi[..., None, :], axis=-1)
+
+
 class Propagator:
-    """Collision machinery bound to one ModelConfig."""
+    """Population chain of one ModelConfig: its window map T and its
+    current functionals at every phase row of a window."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.core = _core_for(config)
         self.n_steps = config.samples_per_collision
-        # row s holds exp(-i tau_s w) at tau_s = s * sample_dt; row 0 is
-        # the attach instant, where every phase is 1
-        taus = config.sample_dt * np.arange(self.n_steps + 1)
-        self.phases = [np.exp(-1j * np.multiply.outer(taus, sec.w))
-                       for sec in self.core.sectors]
-        # the fresh ancillas' populations; their state is diag(p)
-        self.p = _populations([config])[0]
-        self.channel = _channel(self.core, config.dt_collision, self.p)
         self.terminals = self.core.terminals
+        # the fresh ancillas' populations; their state is diag(p)
+        p = _populations([config])
+        self.transfer = _transfer(self.core, config.dt_collision, p)[0]
+        # row s at tau_s = s * sample_dt; row 0 is the attach instant
+        self.functionals = np.stack([
+            _functionals(self.core, config.sample_dt * s, p)[0]
+            for s in range(self.n_steps + 1)])
 
-    def _to_eigenbasis(self, rho_sys: np.ndarray) -> list:
-        """Each sector's block of the attach state kron(rho_sys, diag(p)),
-        in that sector's eigenbasis."""
-        out = []
-        for sec in self.core.sectors:
-            a, f = np.divmod(sec.index, len(self.p))
-            joint = rho_sys[np.ix_(a, a)] * np.where(
-                f[:, None] == f, self.p[f], 0.0)
-            out.append(sec.v.conj().T @ joint @ sec.v)
-        return out
+    def collision(self, pi: np.ndarray):
+        """Evolve one window from the system populations ``pi``.
 
-    def _currents(self, blocks: list, rows: slice) -> np.ndarray:
-        """J_X for each phase row in ``rows``, shape (n_rows, n_terminals).
-
-        K_X commutes with the parity, so only the sector blocks of the
-        attach state contribute, and J_X is the sum over the sectors.
+        Returns (pi_end, currents, attach_currents): the populations at
+        the window's end; the currents, shape (n_steps, n_terminals),
+        sampled at tau = sample_dt .. window; and the tau = 0 row.
         """
-        return _real_currents(sum(
-            _expectations(a, sec.current_ops, ph[rows])
-            for a, sec, ph in zip(blocks, self.core.sectors, self.phases)))
-
-    def currents_at_attach(self, rho_sys: np.ndarray) -> np.ndarray:
-        """J_X the instant fresh ancillas are attached (tau = 0+)."""
-        return self._currents(self._to_eigenbasis(rho_sys),
-                              slice(0, 1))[0]
-
-    def collision(self, rho_sys: np.ndarray):
-        """Evolve one window from ``rho_sys``.
-
-        Returns (rho_sys_end, currents, attach_currents): the system state
-        at the window's end, from the window channel; the currents, shape
-        (n_steps, n_terminals), sampled at tau = sample_dt .. window; and
-        the tau = 0 row.
-        """
-        cur = self._currents(self._to_eigenbasis(rho_sys), slice(None))
-        rho_end = _hermitized((self.channel @ rho_sys.reshape(-1)).reshape(
-            rho_sys.shape))
-        return rho_end, cur[1:], cur[0]
+        cur = _read(self.functionals, pi)
+        return self.transfer @ pi, cur[1:], cur[0]
 
 
 @dataclass
@@ -321,9 +311,10 @@ def evolve(config: ModelConfig, t_max: float, *,
     ``t_max`` must be a whole number of collision windows.  ``boundary``
     picks which one-sided limit is reported exactly at window edges:
     "left" keeps the end-of-window currents, "right" the fresh-ancilla
-    values (the reduced states agree from both sides).  Full system
-    snapshots, from one ``sample_states`` call, and every qubit's
-    marginal are stored when ``store_states`` is set.
+    values (the reduced states agree from both sides).  Currents come
+    from the population chain, which reads only the diagonal of
+    ``initial``.  Full system snapshots, from one ``sample_states`` call,
+    and every qubit's marginal are stored when ``store_states`` is set.
     """
     if boundary not in BOUNDARY_SIDES:
         raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
@@ -332,22 +323,20 @@ def evolve(config: ModelConfig, t_max: float, *,
     prop = Propagator(config)
     steps = prop.n_steps
     n_samples = n_col * steps + 1
-    rho = _system_initial(config, initial)
+    pi = np.diagonal(_system_initial(config, initial)).real.copy()
 
     currents = np.empty((n_samples, len(prop.terminals)))
     times = config.sample_dt * np.arange(n_samples)
     for k in range(n_col):
-        rho, block_cur, attach = prop.collision(rho)
+        pi, block_cur, attach = prop.collision(pi)
         lo = k * steps + 1
         currents[lo:lo + steps] = block_cur
         if k == 0:
             currents[0] = attach
         elif boundary == "right":
             currents[lo - 1] = attach
-    if n_col == 0:
-        currents[0] = prop.currents_at_attach(rho)
-    elif boundary == "right":
-        currents[-1] = prop.currents_at_attach(rho)
+    if n_col == 0 or boundary == "right":
+        currents[-1] = _read(prop.functionals[0], pi)
 
     if boundary == "left":
         collision_index = (np.arange(n_samples) + steps - 1) // steps
@@ -384,17 +373,11 @@ def _window_unitary(core: _Core, tau: float) -> np.ndarray:
     """U = exp(-i tau H_tot) split as U[a, f, b, e]: system indices a, b
     and ancilla indices f, e, so U_fe = U[:, f, :, e]."""
     d_sys = core.d_sys
-    d_env = core.d // d_sys
-    u = _block_diagonal(core, [(sec.v * np.exp(-1j * tau * sec.w))
-                               @ sec.v.conj().T for sec in core.sectors])
-    return u.reshape(d_sys, d_env, d_sys, d_env)
-
-
-def _vec_channel(m: np.ndarray, d_sys: int) -> np.ndarray:
-    """A channel from GEMM layout [(a, b), (a', b')] to the matrix that
-    acts on row-major vec(rho), [(a, a'), (b, b')]."""
-    return m.reshape((d_sys,) * 4).transpose(0, 2, 1, 3).reshape(
-        d_sys * d_sys, -1)
+    u = np.zeros((core.d, core.d), dtype=np.complex128)
+    u[core.index[:, :, None], core.index[:, None, :]] = \
+        (core.v * np.exp(-1j * tau * core.w)[:, None, :]) \
+        @ core.v.conj().swapaxes(1, 2)
+    return u.reshape(d_sys, core.d // d_sys, d_sys, -1)
 
 
 def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
@@ -403,21 +386,9 @@ def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
     d_sys = core.d_sys
     kraus = _window_unitary(core, tau).transpose(0, 2, 1, 3).reshape(
         d_sys * d_sys, -1)  # [(a, b), (f, e)]
-    return _vec_channel((kraus * np.tile(p, len(p))) @ kraus.conj().T,
-                        d_sys)
-
-
-def _channel_pieces(core: _Core, tau: float) -> np.ndarray:
-    """Pieces S_e = sum_f U_fe (x) conj(U_fe), one per ancilla level e, so
-    that the channel for populations p is _vec_channel(sum_e p_e S_e).
-
-    Shape (d_env, d_sys**2, d_sys**2) in GEMM layout [e, (a, b), (a', b')],
-    built as one batched GEMM over e.
-    """
-    d_sys = core.d_sys
-    u = _window_unitary(core, tau)
-    kraus = u.transpose(3, 0, 2, 1).reshape(u.shape[3], d_sys * d_sys, -1)
-    return kraus @ kraus.conj().swapaxes(1, 2)
+    # GEMM layout [(a, b), (a', b')] to [(a, a'), (b, b')]
+    return ((kraus * np.tile(p, len(p))) @ kraus.conj().T).reshape(
+        (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(d_sys * d_sys, -1)
 
 
 def _boltzmann_weights(config: ModelConfig, terminal: str) -> np.ndarray:
@@ -502,9 +473,9 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
 
     Returns shape (len(configs), len(times), n_terminals), terminals in
     ``system_terminals`` order, with the values ``evolve`` reports at
-    those times for the same ``boundary``.  The system state is carried
-    from window to window by each config's window channel, and only the
-    requested samples are evaluated (see the module docstring).
+    those times for the same ``boundary``, bit for bit.  Each config's
+    populations are carried from window to window by its T, and only
+    the requested phase rows are evaluated (see the module docstring).
     """
     configs = list(configs)
     if boundary not in BOUNDARY_SIDES:
@@ -518,8 +489,6 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
             "temperatures")
     core = _core_for(shared)
     dt, steps = shared.sample_dt, shared.samples_per_collision
-    d_sys = core.d_sys
-    d_env = core.d // d_sys
 
     # time -> (window n, phase row s) by evolve's edge rule: "left" reads
     # an edge at the end of the window before it, "right" at the start of
@@ -532,49 +501,24 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
     row = index - window * steps
     p = _populations(configs)
 
-    # rho_n at each window read, carried through each config's channel,
-    # which is mixed from the pieces when its config's turn comes
+    # pi_n at each window read, carried through each config's T from the
+    # populations of |0...0>
     windows, slot = np.unique(window, return_inverse=True)
-    pieces = _channel_pieces(core, shared.dt_collision).reshape(
-        d_env, -1) if window.max(initial=0) else None
-    states = np.empty((len(configs), len(windows), d_sys * d_sys),
-                      dtype=np.complex128)
-    for c, pc in enumerate(p):
-        if pieces is not None:
-            chan = _vec_channel(pc @ pieces, d_sys)
-        rho, done = initial_state(shared.n_qubits), 0
+    pops = np.empty((len(configs), len(windows), core.d_sys))
+    for c, transfer in enumerate(_transfer(core, shared.dt_collision, p)):
+        pi, done = np.eye(core.d_sys)[0], 0
         for i, n in enumerate(windows):
             for _ in range(n - done):
-                rho = _hermitized((chan @ rho.reshape(-1)).reshape(
-                    rho.shape))
+                pi = transfer @ pi
             done = n
-            states[c, i] = rho.reshape(-1)
+            pops[c, i] = pi
 
-    # per row s and terminal, C[e] = e-diagonal block of conj(P) K'^T P^T
-    # with P = V diag(conj(u_s)), where V and K' are block-diagonal over
-    # the parity sectors; then J = sum_e p_e <C[e], rho_n>
-    cur = np.empty((len(configs), len(index), len(core.terminals)),
-                   dtype=np.complex128)
+    cur = np.empty((len(configs), len(index), len(core.terminals)))
     for s in np.unique(row):
-        ph = [sec.v * np.exp(-1j * (dt * s) * sec.w).conj()
-              for sec in core.sectors]
-        ph_conj = _block_diagonal(core, ph).conj().reshape(
-            d_sys, d_env, -1).transpose(1, 0, 2)
-        blocks = []
-        for x in range(len(core.terminals)):
-            # P K_X', one GEMM per parity sector
-            pk = _block_diagonal(core, [b @ sec.current_ops[x].T
-                                        for b, sec in zip(ph, core.sectors)])
-            blocks.append(ph_conj @ pk.reshape(d_sys, d_env, -1).transpose(
-                1, 2, 0))
-        blocks = np.stack(blocks)
-        # one small product per config, so that a config reads the same
-        # bits whatever else shares the call
-        func = p[:, None] @ blocks.swapaxes(0, 1).reshape(d_env, -1)
-        func = func.reshape(len(configs), len(blocks), -1)  # (c, x, q)
         at = np.flatnonzero(row == s)
-        cur[:, at] = np.einsum("cxq,cjq->cjx", func, states[:, slot[at]])
-    return _real_currents(cur)
+        cur[:, at] = _read(_functionals(core, dt * s, p)[:, None],
+                           pops[:, slot[at]])
+    return cur
 
 
 def local_heat_current(joint_state: np.ndarray, h_total: np.ndarray,
@@ -582,8 +526,8 @@ def local_heat_current(joint_state: np.ndarray, h_total: np.ndarray,
     """Reference heat current J_X = -Tr(rhodot_X H_X) from a joint state.
 
     Positive values mean energy leaving qubit X.  This is the direct
-    commutator-plus-partial-trace evaluation; the propagator computes
-    the same quantity through the cached sector eigenbases.
+    commutator-plus-partial-trace evaluation on the joint state; the
+    engine computes the same quantity on the population chain.
     """
     if terminal not in config.system_terminals:
         raise ValueError(

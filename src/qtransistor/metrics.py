@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import evolve, sample_currents
+from .engine import sample_currents
 from .model import ModelConfig
 
 __all__ = [
@@ -112,13 +112,6 @@ class SweepResult:
             raise ValueError("one record per grid point required")
 
 
-def _collision_ceiling(config: ModelConfig, t: float) -> float:
-    """Smallest whole-collision horizon covering time ``t``."""
-    dt = config.dt_collision
-    n = max(1, int(math.ceil(t / dt - 1e-9)))
-    return n * dt
-
-
 def _check_stencil_domain(config: ModelConfig) -> None:
     mod = config.modulating_terminal
     T0 = config.env.temperature(mod)
@@ -165,15 +158,12 @@ def _stencil(
 def current_at(
     config: ModelConfig, t: float, terminal: str, *, boundary: str = "left"
 ) -> float:
-    """J_X at time ``t`` (one full run; ``t`` on the sample grid).
-
-    This is ``evolve``'s value bit for bit; the stencil's
-    ``sample_currents`` agrees with it to round-off.
-    """
+    """J_X at time ``t`` (on the sample grid), from ``sample_currents``;
+    this is ``evolve``'s value bit for bit."""
     if terminal not in config.system_terminals:
         raise ValueError(f"unknown terminal {terminal!r}")
-    traj = evolve(config, _collision_ceiling(config, t), boundary=boundary)
-    return float(traj.currents[terminal][traj.index_at(t)])
+    cur = sample_currents([config], [t], boundary)
+    return float(cur[0, 0, config.system_terminals.index(terminal)])
 
 
 def _alpha_from(

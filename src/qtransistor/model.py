@@ -306,22 +306,21 @@ def build_interaction_hamiltonian(g: float, env: EnvSpec,
     return h
 
 
-def parity_diagonal(config: ModelConfig) -> np.ndarray:
-    """Diagonal of the parity P = prod_qubits sz (x) prod_ancillas (-1)^m.
+def local_parities(config: ModelConfig) -> np.ndarray:
+    """Diagonals of the local parities P_X = sz_X (x) (-1)^m_X, shape
+    (n_qubits, d), one row per qubit in ``system_terminals`` order.
 
-    Qubits and qubit ancillas contribute diag(1, -1), qutrit ancillas
-    diag(-1, 1, -1), in ``joint_dims`` order.  Each sx (x) Sx coupling
-    flips the parity of both its factors and every other term of H_tot is
-    diagonal, so H_tot commutes with P.
+    m_X is the level index of X's ancilla; a detached X has P_X = sz_X.
+    Each qubit's sx (x) Sx coupling flips the parity of both its factors
+    and every other term of H_tot is diagonal, so H_tot commutes with
+    every P_X.
     """
-    qubit = np.array([1.0, -1.0])
-    ancilla = qubit if config.env.kind == "qubit" else \
-        np.array([-1.0, 1.0, -1.0])
-    p = np.ones(1)
-    for factor in [qubit] * config.n_qubits + \
-            [ancilla] * len(config.attached_terminals):
-        p = np.multiply.outer(p, factor).ravel()
-    return p
+    dims = config.joint_dims()
+    signs = (-1.0) ** np.indices(dims).reshape(len(dims), -1)
+    out = signs[:config.n_qubits].copy()
+    for k, t in enumerate(config.attached_terminals):
+        out[config.system_terminals.index(t)] *= signs[config.n_qubits + k]
+    return out
 
 
 def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import linalg as la
 from .engine import _batched_qubit_marginal, _sample_index, sample_states
-from .metrics import _collision_ceiling
 from .model import ModelConfig
 
 __all__ = [
@@ -100,6 +99,13 @@ class BLPResult:
     times: np.ndarray
     distance_series: np.ndarray
     growth_windows: List[Tuple[float, float]]
+
+
+def _collision_ceiling(config: ModelConfig, t: float) -> float:
+    """Smallest whole-collision horizon covering time ``t``."""
+    dt = config.dt_collision
+    n = max(1, int(math.ceil(t / dt - 1e-9)))
+    return n * dt
 
 
 def _full_initial(config: ModelConfig, terminal: str, probe: np.ndarray) -> np.ndarray:

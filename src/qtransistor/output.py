@@ -91,7 +91,8 @@ def sweep_table(result: metrics.SweepResult, stem: str,
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.11e}"
+    # + 0.0 turns -0.0 into 0.0: an exact zero is written unsigned
+    return f"{float(x) + 0.0:.11e}"
 
 
 def render_table(table: Table) -> str:

@@ -17,7 +17,7 @@ from qtransistor.nonmarkov import SearchConfig
 from qtransistor.output import (MANIFEST_NAME, Table, file_sha256,
                                 render_table, sweep_table, write_manifest,
                                 write_table)
-from qtransistor.scenarios import SCENARIOS, scenario_names
+from qtransistor.scenarios import SCENARIOS, build_tables, scenario_names
 
 
 def doc(s: str) -> str:
@@ -555,6 +555,31 @@ def test_run_scenario_from_flags(tmp_path):
     data = json.loads((out / MANIFEST_NAME).read_text())
     assert data["parameters"]["scenario"] == "appendixA"
     assert data["parameters"]["overrides"] == {"sample_dt": 0.1}
+
+
+@pytest.mark.parametrize("name, overrides", (("fig6", {"t_max": 1.0}),
+                                             ("fig7", {})))
+def test_detached_terminals_print_exact_zeros(name, overrides):
+    # no ancilla on X: K_X = i [H_X, H_tot] = 0, so J_X, dJ_X and alpha_X
+    # are exact zeros, written unsigned
+    [table] = build_tables(name, overrides)
+    names = [n for n, _ in table.columns]
+    lines = render_table(table).splitlines()[1:]
+    for col in ("alpha_R[right-detached]", "alpha_L[left-detached]"):
+        j = names.index(col)
+        assert all(row[j] == 0.0 for row in table.rows)
+        assert {line.split(",")[j] for line in lines} == {"0.00000000000e+00"}
+
+
+def test_sweep_of_a_detached_terminal_prints_exact_zeros():
+    cfg = ModelConfig.default(sample_dt=0.1, attach_R=False)
+    res = metrics.sweep(cfg, "T_M", [5.0, 7.5], t=1.0)
+    table = sweep_table(res, "demo")
+    names = [n for n, _ in table.columns]
+    lines = render_table(table).splitlines()[1:]
+    for col in ("J_R", "dJR_dTM", "alpha_R"):
+        j = names.index(col)
+        assert {line.split(",")[j] for line in lines} == {"0.00000000000e+00"}
 
 
 def test_manifest_parameters_resolve_the_model():

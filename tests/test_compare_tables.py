@@ -1,0 +1,50 @@
+"""The table-diff script on two small output directories."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
+    "compare_tables.py"
+
+HEADER = "# t(t̃),alpha_L(dimensionless),error\n"
+
+
+def run(old, new):
+    done = subprocess.run([sys.executable, str(SCRIPT), str(old), str(new)],
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def write(directory, name, text):
+    path = directory / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def test_one_changed_cell_is_reported_with_its_column(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    same = HEADER + "1.0e-01,2.0e+00,\n"
+    for d in (old, new):
+        write(d, "a/same.csv", same)
+    write(old, "b.csv", HEADER + "1.0e-01,2.0e+00,\n2.0e-01,nan,boom\n")
+    write(new, "b.csv", HEADER + "1.0e-01,2.5e+00,\n2.0e-01,nan,boom\n")
+    code, out = run(old, new)
+    assert code == 0
+    assert "a/same.csv: byte-identical" in out
+    assert "b.csv:\n  alpha_L(dimensionless): max|d| = 5.000e-01, " \
+        "max|d|/|old| = 2.500e-01\n" in out
+    assert "t(t̃)" not in out and "error:" not in out
+
+
+def test_different_columns_or_files_exit_nonzero(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write(old, "b.csv", HEADER + "1.0e-01,2.0e+00,\n")
+    write(new, "b.csv", "# t(t̃),alpha_R(dimensionless),error\n"
+          "1.0e-01,2.0e+00,\n")
+    code, out = run(old, new)
+    assert code == 1 and "columns differ" in out
+    write(new, "b.csv", HEADER + "1.0e-01,2.0e+00,\n")
+    write(new, "extra.csv", HEADER)
+    code, out = run(old, new)
+    assert code == 1 and "extra.csv: only in" in out

@@ -15,11 +15,19 @@ from qtransistor.engine import (Propagator, Trajectory, _Core, _populations,
                                 sample_states)
 from qtransistor.model import (ENV_KINDS, ModelConfig, SpinOps,
                                ancilla_thermal_state,
-                               build_total_hamiltonian, embed)
+                               build_total_hamiltonian, embed, embed_pair)
 
 
 def coarse(**over):
     return ModelConfig.default(sample_dt=0.1, **over)
+
+
+def random_state(rng, d):
+    """A random density matrix of random rank, coherences included."""
+    rank = rng.integers(1, d + 1)
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 def env_product(cfg):
@@ -63,15 +71,16 @@ def test_first_collision_changes_the_state():
 def test_step_collision_matches_evolve():
     cfg = coarse()
     prop = Propagator(cfg)
-    rho, cur1, attach = prop.collision(initial_state(3))
-    rho, cur2, _ = prop.collision(rho)
+    pi, cur1, attach = prop.collision(np.diagonal(initial_state(3)).real)
+    pi, cur2, _ = prop.collision(pi)
 
     traj = evolve(cfg, 1.0, store_states=True)
     stitched = np.concatenate([cur1, cur2])
     for i, x in enumerate(("L", "M", "R")):
         assert np.allclose(stitched[:, i], traj.currents[x][1:], atol=1e-12)
         assert attach[i] == pytest.approx(traj.currents[x][0], abs=1e-12)
-    assert np.max(np.abs(rho - traj.system_states[-1])) < 1e-12
+    # the population step against the diagonal of the channel's state
+    assert np.max(np.abs(pi - np.diagonal(traj.system_states[-1]))) < 1e-12
 
 
 def test_evolve_against_brute_force_unitary():
@@ -333,14 +342,67 @@ def test_window_unitary_matches_dense_exponential(name):
 
 def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
     cfg = coarse()
+    dims = cfg.joint_dims()
+    # a lone sx on one qubit flips that qubit's local parity alone; sx on
+    # L with Sx on M's ancilla keeps the global parity but flips P_L, P_M
+    extras = [embed(SpinOps.sx_half, site, dims) for site in range(3)]
+    extras.append(embed_pair(SpinOps.sx_half, 0, SpinOps.sx_one, 4, dims))
+    for extra in extras:
+        def with_extra(config, extra=extra):
+            return build_total_hamiltonian(config) + 0.1 * extra
 
-    def with_lone_sx(config):
-        h = build_total_hamiltonian(config)
-        return h + 0.1 * embed(SpinOps.sx_half, 0, config.joint_dims())
+        monkeypatch.setattr(engine, "build_total_hamiltonian", with_extra)
+        with pytest.raises(ValueError, match="parity"):
+            _Core(cfg)
 
-    monkeypatch.setattr(engine, "build_total_hamiltonian", with_lone_sx)
-    with pytest.raises(ValueError, match="parity"):
-        _Core(cfg)
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_transfer_is_nonnegative_and_column_stochastic(name):
+    cfg = CHANNEL_MODELS[name]
+    for t_scale in (0.3, 1.0, 5.0):
+        hot = cfg.replace(T_L=4.0 * t_scale, T_M=10.0 * t_scale,
+                          T_R=7.0 * t_scale)
+        transfer = Propagator(hot).transfer
+        assert transfer.shape == (2 ** cfg.n_qubits,) * 2
+        assert transfer.min() >= 0.0
+        assert np.max(np.abs(transfer.sum(axis=0) - 1.0)) < 1e-14
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(CHANNEL_MODELS)), st.integers(0, 2 ** 32 - 1))
+def test_currents_from_a_state_with_coherences_match_brute_force(name, seed):
+    # the chain reads only the populations; brute force uses all of rho
+    cfg = CHANNEL_MODELS[name].replace(sample_dt=0.25)
+    rho = random_state(np.random.default_rng(seed), 2 ** cfg.n_qubits)
+    traj = evolve(cfg, 1.0, initial=rho)
+    h = build_total_hamiltonian(cfg)
+    dims, sites = cfg.joint_dims(), list(range(cfg.n_qubits))
+    ref = []
+    for window in range(2):
+        joint0 = la.kron(rho, env_product(cfg))
+        taus = (0.0, 0.25, 0.5) if window == 0 else (0.25, 0.5)
+        for tau in taus:
+            u = la.unitary_exp(h, tau)
+            joint = u @ joint0 @ u.conj().T
+            ref.append([local_heat_current(joint, h, x, cfg)
+                        for x in cfg.system_terminals])
+        rho = la.partial_trace(joint, dims, sites)
+    got = np.stack([traj.currents[x] for x in cfg.system_terminals], 1)
+    assert np.max(np.abs(got - np.array(ref))) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(("baseline", "asymmetric", "appendixA")),
+       st.integers(0, 2 ** 32 - 1))
+def test_trace_distance_never_grows_from_one_window_start_to_the_next(
+        name, seed):
+    # the window map is CPTP, so it contracts the trace distance
+    cfg = CHANNEL_MODELS[name]
+    rng = np.random.default_rng(seed)
+    pair = [random_state(rng, 2 ** cfg.n_qubits) for _ in range(2)]
+    starts = sample_states(cfg, pair, 3.0)[:, ::cfg.samples_per_collision]
+    dist = [la.trace_distance(a, b) for a, b in zip(*starts)]
+    assert np.all(np.diff(dist) <= 1e-12)
 
 
 @pytest.mark.parametrize("boundary", ("left", "right"))
@@ -364,6 +426,16 @@ def test_sample_currents_match_evolve_at_every_sample(name, boundary):
     assert np.array_equal(alone[0], together[0])
     picked = sample_currents(configs, times[::-3], boundary)
     assert np.array_equal(picked, together[:, ::-3])
+
+
+@pytest.mark.parametrize("boundary", ("left", "right"))
+def test_evolve_and_sample_currents_share_every_bit(boundary):
+    # one route: the same chain step and row functionals in both
+    for cfg in CHANNEL_MODELS.values():
+        traj = evolve(cfg, 1.5, boundary=boundary)
+        ref = np.stack([traj.currents[x] for x in cfg.system_terminals], 1)
+        got = sample_currents([cfg], traj.times, boundary)[0]
+        assert np.array_equal(got, ref)
 
 
 def test_sample_currents_need_one_shared_hamiltonian():
@@ -463,9 +535,9 @@ def test_core_keeps_its_spectral_data_per_parity_sector():
     arrays += [a for sec in core.sectors for a in sec]
     buffers = {id(root(a)): root(a) for a in arrays}
     sizes = [len(sec.index) for sec in core.sectors]
-    assert sizes == [108, 108]
+    assert sizes == [27] * 8
     n_terms = len(core.terminals)
     # per sector of size n: its indices, w, V and one current generator
     # per terminal, each n x n
     assert sum(b.nbytes for b in buffers.values()) == \
-        sum(2 * n * 8 + (1 + n_terms) * n * n * 16 for n in sizes)
+        sum(2 * n * 8 + (1 + n_terms) * n * n * 16 for n in sizes) == 376704

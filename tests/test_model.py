@@ -14,7 +14,7 @@ from qtransistor.model import (ENV_KINDS, CouplingConfig, EnvSpec,
                                build_interaction_hamiltonian,
                                build_system_hamiltonian,
                                build_total_hamiltonian, embed, embed_pair,
-                               parity_diagonal)
+                               local_parities)
 
 
 def swap_LR_3q():
@@ -221,8 +221,10 @@ def test_total_hamiltonian_commutes_exactly_with_the_parity(
         cfg = ModelConfig(coupling=coupling, env=env, g=g,
                           n_qubits=n_qubits)
         h = build_total_hamiltonian(cfg)
-        p = parity_diagonal(cfg)
-        assert p.shape == (h.shape[0],)
-        assert set(p) == {1.0, -1.0}
-        # H diag(P) - diag(P) H, elementwise
-        assert np.count_nonzero(h * p - p[:, None] * h) == 0
+        parities = local_parities(cfg)
+        assert parities.shape == (n_qubits, h.shape[0])
+        # each local parity P_X, and so every product of them
+        for p in parities:
+            assert set(p) == {1.0, -1.0}
+            # H diag(P) - diag(P) H, elementwise
+            assert np.count_nonzero(h * p - p[:, None] * h) == 0
