@@ -47,14 +47,19 @@ reads the same bits from either, alone or in a batch, at any subset of
 times.
 
 ``sample_states`` returns whole system states, coherences included, for
-the backflow search.  Each initial state is carried from window to window
-by the 64x64 window channel
+the backflow search.  The window channel
 
     rho_{n+1} = sum_{f,e} p_e U_fe rho_n U_fe^dagger,
 
-with U_fe the system blocks of U, and the sample at row s of a window is
-the channel at tau_s applied to the state at the window's start.
-``evolve(store_states=True)`` stores those states.
+with U_fe the system blocks of U, is covariant under every local parity,
+so it moves each difference block x_delta[a] = rho[a, a ^ delta] (XOR of
+the system labels) on its own 2^n x 2^n map M_delta, read off the sector
+unitaries; M_0 is T.  A state is carried from window to window as the
+blocks its initial state occupies: the populations and the probed
+qubit's coherences for a BLP probe, all 2^n blocks for a general rho.
+The sample at row s of a window is the maps at tau_s applied to the
+blocks at the window's start.  ``evolve(store_states=True)`` stores
+those states.
 """
 
 from __future__ import annotations
@@ -369,26 +374,67 @@ def _sample_index(times, dt: float) -> np.ndarray:
     return index
 
 
+def _sector_unitaries(core: _Core, tau: float) -> np.ndarray:
+    """U_sigma = V diag(exp(-i tau w)) V^dagger on each sector, shape
+    (n_sectors, d_env, d_env), rows and columns in ``index`` order."""
+    return (core.v * np.exp(-1j * tau * core.w)[:, None, :]) \
+        @ core.v.conj().swapaxes(1, 2)
+
+
 def _window_unitary(core: _Core, tau: float) -> np.ndarray:
     """U = exp(-i tau H_tot) split as U[a, f, b, e]: system indices a, b
     and ancilla indices f, e, so U_fe = U[:, f, :, e]."""
     d_sys = core.d_sys
     u = np.zeros((core.d, core.d), dtype=np.complex128)
     u[core.index[:, :, None], core.index[:, None, :]] = \
-        (core.v * np.exp(-1j * tau * core.w)[:, None, :]) \
-        @ core.v.conj().swapaxes(1, 2)
+        _sector_unitaries(core, tau)
     return u.reshape(d_sys, core.d // d_sys, d_sys, -1)
 
 
-def _channel(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
-    """Channel S = sum_{f,e} p_e U_fe (x) conj(U_fe) on row-major vec(rho)
-    for the ancilla populations ``p``, as one GEMM over (f, e)."""
-    d_sys = core.d_sys
-    kraus = _window_unitary(core, tau).transpose(0, 2, 1, 3).reshape(
-        d_sys * d_sys, -1)  # [(a, b), (f, e)]
-    # GEMM layout [(a, b), (a', b')] to [(a, a'), (b, b')]
-    return ((kraus * np.tile(p, len(p))) @ kraus.conj().T).reshape(
-        (d_sys,) * 4).transpose(0, 2, 1, 3).reshape(d_sys * d_sys, -1)
+class _DifferenceMaps:
+    """The window channel on the difference blocks of the system state.
+
+    Each local parity commutes with H_tot and the fresh ancilla state is
+    diagonal, so the channel takes rho[b, b'] into rho[a, a'] only when
+    a ^ a' = b ^ b' (XOR of the system labels).  The block
+    x_delta[a] = rho[a, a ^ delta] then moves on its own d_sys x d_sys map
+
+        M_delta[a, b] = sum_{f,e} p_e U[(a, f), (b, e)]
+                                  conj(U[(a ^ delta, f), (b ^ delta, e)]),
+
+    and M_0 is the population map T.  Flipping the qubits of delta takes
+    row (a, f) of a sector to a fixed row of one partner sector, so
+    M_delta is U_sigma o conj(U_partner[perm, perm]) summed over the
+    sectors, its rows gathered by a and its columns by b with weights p_e.
+    """
+
+    def __init__(self, core: _Core, deltas: np.ndarray, p: np.ndarray):
+        n_sectors, d_env = core.index.shape
+        position = np.empty(core.d, dtype=int)
+        sector = np.empty(core.d, dtype=int)
+        position[core.index] = np.arange(d_env)
+        sector[core.index] = np.arange(n_sectors)[:, None]
+        system, ancilla = np.divmod(core.index, d_env)
+        flipped = (system ^ deltas[:, None, None]) * d_env + ancilla
+        partner = sector[flipped[..., :1, None]]  # one per delta, sector
+        perm = position[flipped]  # (n_deltas, n_sectors, d_env)
+        # U_partner[perm, perm] as flat indices into the stacked sector
+        # unitaries, shape (n_deltas, n_sectors, d_env, d_env)
+        self.mate = (partner * d_env + perm[..., :, None]) * d_env \
+            + perm[..., None, :]
+        self.core = core
+        gather = (system[:, None, :] == np.arange(core.d_sys)[:, None]
+                  ).astype(np.complex128)  # (n_sectors, d_sys, d_env)
+        self.cols = gather.swapaxes(1, 2) * p[ancilla][..., None]
+        self.rows = gather.transpose(1, 0, 2).reshape(core.d_sys, -1)
+
+    def at(self, tau: float) -> np.ndarray:
+        """M_delta over ``tau`` for each delta, shape (n_deltas, d_sys,
+        d_sys)."""
+        u = _sector_unitaries(self.core, tau)
+        summand = u * u.reshape(-1)[self.mate].conj()
+        return self.rows @ (summand @ self.cols).reshape(
+            (len(summand),) + self.rows.shape[::-1])
 
 
 def _boltzmann_weights(config: ModelConfig, terminal: str) -> np.ndarray:
@@ -441,30 +487,42 @@ def sample_states(config: ModelConfig, initials,
 
     Returns shape (len(initials), n_samples, d, d), on the sample grid of
     ``evolve(config, t_max)``; ``t_max`` must be a whole number of
-    windows.  Each state is carried from window to window by the window
-    channel, and the sample at row s of a window is the channel at
-    tau_s = s * sample_dt applied to the state at the window's start.
+    windows.  Each state is carried from window to window as its
+    difference blocks x_delta[a] = rho[a, a ^ delta], each on its own
+    d x d map (``_DifferenceMaps``), and the sample at row s of a window
+    is the maps at tau_s = s * sample_dt applied to the blocks at the
+    window's start.  Only the blocks that some initial state occupies are
+    carried; every other entry stays exactly 0.
     """
     n_col = _whole_windows(config, t_max)
     rho = np.stack([_system_initial(config, r) for r in initials])
     core = _core_for(config)
     steps, d_sys = config.samples_per_collision, core.d_sys
-    p = _populations([config])[0]
     out = np.empty((len(rho), n_col * steps + 1, d_sys, d_sys),
                    dtype=np.complex128)
     out[:, 0] = rho
     if not n_col:
         return out
-    chan = _channel(core, config.dt_collision, p)
+    a = np.arange(d_sys)
+    deltas = np.flatnonzero([np.any(rho[:, a, a ^ delta])
+                             for delta in range(d_sys)])
+    column = a ^ deltas[:, None]  # of each block entry
+    maps = _DifferenceMaps(core, deltas, _populations([config])[0])
+
+    def states(blocks: np.ndarray) -> np.ndarray:
+        full = np.zeros(blocks.shape[:-2] + (d_sys, d_sys),
+                        dtype=np.complex128)
+        full[..., a, column] = blocks
+        return _hermitized(full)
+
+    step = maps.at(config.dt_collision)
     for n in range(1, n_col + 1):
-        rho = _hermitized((rho.reshape(len(rho), -1) @ chan.T).reshape(
-            rho.shape))
-        out[:, n * steps] = rho
-    starts = out[:, :-1:steps].reshape(-1, d_sys * d_sys)
+        blocks = out[:, (n - 1) * steps][:, a, column]
+        out[:, n * steps] = states((step @ blocks[..., None])[..., 0])
+    starts = out[:, :-1:steps][:, :, a, column]
     for s in range(1, steps):
-        chan = _channel(core, config.sample_dt * s, p)
-        out[:, s::steps] = _hermitized((starts @ chan.T).reshape(
-            len(rho), n_col, d_sys, d_sys))
+        out[:, s::steps] = states(
+            (maps.at(config.sample_dt * s) @ starts[..., None])[..., 0])
     return out
 
 
@@ -514,7 +572,7 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
             pops[c, i] = pi
 
     cur = np.empty((len(configs), len(index), len(core.terminals)))
-    for s in np.unique(row):
+    for s in np.flatnonzero(np.bincount(row)):
         at = np.flatnonzero(row == s)
         cur[:, at] = _read(_functionals(core, dt * s, p)[:, None],
                            pops[:, slot[at]])

@@ -324,14 +324,36 @@ def local_parities(config: ModelConfig) -> np.ndarray:
 
 
 def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:
-    """H_sys + sum of ancilla Hamiltonians + interaction, joint space."""
+    """H_sys + sum of ancilla Hamiltonians + interaction, joint space.
+
+    Built without Kronecker products: the diagonal is H_sys's diagonal
+    plus each ancilla's level energy, read off the levels of each joint
+    index, and each -g sx (x) Sx entry is placed by index arithmetic.
+    The sums run in the order of kron(H_sys, I) + sum embed(h_env) +
+    ``build_interaction_hamiltonian``, which the result equals element
+    for element.
+    """
     n = config.n_qubits
     dims = config.joint_dims()
-    h_sys = build_system_hamiltonian(config.coupling, n)
-    d_env = int(np.prod(dims[n:])) if len(dims) > n else 1
-    h = kron(h_sys, np.eye(d_env, dtype=np.complex128))
-    h_env = build_env_local_hamiltonian(config.env)
+    d = int(np.prod(dims))
+    levels = np.indices(dims).reshape(len(dims), -1)
+    strides = d // np.cumprod(dims)
+    diag = np.repeat(np.diagonal(
+        build_system_hamiltonian(config.coupling, n)).real, d // 2 ** n)
+    e_env = np.diagonal(build_env_local_hamiltonian(config.env)).real
     for k in range(len(config.attached_terminals)):
-        h += embed(h_env, n + k, dims)
-    h += build_interaction_hamiltonian(config.g, config.env, n)
+        diag += e_env[levels[n + k]]
+
+    h = np.zeros((d, d), dtype=np.complex128)
+    h[np.arange(d), np.arange(d)] = diag
+    sx_env = SpinOps.sx_half if config.env.kind == "qubit" \
+        else SpinOps.sx_one
+    for k, t in enumerate(config.attached_terminals):
+        q, slot = config.system_terminals.index(t), n + k
+        # sx flips qubit q; Sx takes the ancilla from level m to m2
+        flip = strides[q] * (1 - 2 * levels[q])
+        for m, m2 in zip(*np.nonzero(sx_env)):
+            rows = np.flatnonzero(levels[slot] == m)
+            cols = rows + flip[rows] + strides[slot] * (m2 - m)
+            h[rows, cols] -= config.g * sx_env[m, m2]
     return h

@@ -17,9 +17,12 @@ Evaluation trick: the reduced dynamics is linear in the input Bloch vector,
 so four basis evolutions (|0>, |1>, |+>, |+i>) determine the marginal of any
 initial state; the whole grid then costs one contraction and a closed-form
 2x2 trace distance per pair and sample time.  Every marginal is taken from
-the system states of ``engine.sample_states``, which carries the probes
-through the window channel.  The reported optimum is re-evaluated by
-evolving the pair itself before being returned.
+the system states of ``engine.sample_states``.  A probe state
+probe (x) |0...0> occupies at most two difference blocks
+rho[a, a ^ delta] of the system state, the populations (delta = 0) and
+the probed qubit's coherences (delta its bit), and ``sample_states``
+carries just those, each on its own 2^n x 2^n map.  The reported optimum
+is re-evaluated by evolving the pair itself before being returned.
 """
 
 from __future__ import annotations

@@ -1,0 +1,48 @@
+"""The verdict of the interleaved benchmark-pairs script, on canned runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "points_per_s", "better": "higher"},
+              {"name": "peak_rss_mb", "better": "lower"}]
+
+
+def result(points, rss, failed=0):
+    return {"attempted": 10, "failed": failed,
+            "metrics": {"points_per_s": {"value": points, "unit": "1/s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_nine_wins_in_ten_and_a_gap_beyond_the_iqr_show_a_gain():
+    old = [30.0, 31.0, 32.0, 33.0, 34.0, 35.0, 36.0, 37.0, 38.0, 39.0]
+    new = [45.0] * 9 + [30.0]  # the last pair is a tie
+    pairs = [(result(a, 48.0), result(b, 48.0 + 0.1 * (i % 2)))
+             for i, (a, b) in enumerate(zip(old, new))]
+    points, rss, parent, change = bench_pairs.summarize(pairs, END_TO_END)
+    assert points == ("points_per_s (higher is better): parent 34.5 "
+                      "[32.25, 36.75] -> change 45 [45, 45]; change wins "
+                      "9/10; gain shown")
+    # a higher memory reading loses; ties count for neither side
+    assert rss.endswith("change wins 0/10; gain not shown")
+    assert parent == "parent: 0/100 rows failed"
+    assert change == "change: 0/100 rows failed"
+
+
+def test_too_few_wins_or_a_gap_inside_the_iqr_show_no_gain():
+    eight = [(result(30.0, 50.0), result(40.0 if i < 8 else 20.0, 40.0))
+             for i in range(10)]
+    points, rss, _, _ = bench_pairs.summarize(eight, END_TO_END)
+    assert points.endswith("change wins 8/10; gain not shown")
+    assert rss.endswith("change wins 10/10; gain shown")
+    # every pair won, but by less than the parent's own spread
+    wide = [(result(30.0 + 4 * i, 50.0), result(30.5 + 4 * i, 50.0, 1))
+            for i in range(10)]
+    points, _, parent, change = bench_pairs.summarize(wide, END_TO_END)
+    assert points.endswith("change wins 10/10; gain not shown")
+    assert (parent, change) == ("parent: 0/100 rows failed",
+                                "change: 10/100 rows failed")

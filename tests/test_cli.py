@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +412,26 @@ def test_run_sweep_end_to_end(tmp_path, capsys):
     lines = csv.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# T_M(T̃),J_L(ħ/t̃²)")
     assert len(lines) == 4  # header + three grid points
+
+
+def test_temperature_sweep_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 15 ms to import in a fresh process
+    def fresh(code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code += "; print('numpy.ma' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        return done.stdout.split()[-1]
+
+    if fresh("import sys, numpy") == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_DOC, encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert fresh(f"import sys; from qtransistor import cli; "
+                 f"assert cli.main({argv!r}) == 0") == "False"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

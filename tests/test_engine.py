@@ -511,6 +511,47 @@ def test_sample_states_match_evolve_at_every_sample(name):
         sample_states(cfg, [np.eye(2 ** cfg.n_qubits + 1)], 1.0)
 
 
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_sample_states_carry_every_difference_block(name):
+    # a random rho occupies every block rho[a, a ^ delta]
+    cfg = CHANNEL_MODELS[name]
+    d = 2 ** cfg.n_qubits
+    rho0 = random_state(np.random.default_rng(len(name)), d)
+    assert np.all(rho0 != 0)
+    got = sample_states(cfg, [rho0], 1.0)[0]
+    assert np.max(np.abs(got - brute_force_states(cfg, rho0, 2))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ("baseline", "appendixA", "no_R"))
+def test_probe_states_keep_the_other_difference_blocks_exactly_zero(name):
+    cfg = CHANNEL_MODELS[name]
+    n = cfg.n_qubits
+    a = np.arange(2 ** n)
+    plus, ground = np.full((2, 2), 0.5), np.diag([1.0, 0.0])
+    for x in range(n):
+        probe = la.kron(*[plus if i == x else ground for i in range(n)])
+        flip = 1 << (n - 1 - x)  # qubit x's bit of the system label
+        states = sample_states(cfg, [probe], 1.0)[0]
+        outside = ~np.isin(a[:, None] ^ a[None, :], (0, flip))
+        assert np.all(states[:, outside] == 0.0)
+        assert np.any(states[1:, a, a ^ flip] != 0.0)
+
+
+def test_sample_states_memory_stays_below_one_channel_per_phase_row():
+    cfg = ModelConfig.default()  # 50 phase rows per window
+    probes = [la.kron(np.full((2, 2), 0.5), np.diag([1.0, 0.0]),
+                      np.diag([1.0, 0.0]))] * 4
+    sample_states(cfg, probes[:1], 0.5)  # the shared core is built here
+    tracemalloc.start()
+    try:
+        sample_states(cfg, probes, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the d x d difference maps are built one phase row at a time
+    assert peak < 64 * 64 * 16 * cfg.samples_per_collision
+
+
 @pytest.mark.parametrize("kind", ENV_KINDS)
 def test_fresh_ancilla_product_is_exactly_diagonal(kind):
     # the window channel keeps only the populations of the fresh ancillas

@@ -15,6 +15,7 @@ from qtransistor.model import (ENV_KINDS, CouplingConfig, EnvSpec,
                                build_system_hamiltonian,
                                build_total_hamiltonian, embed, embed_pair,
                                local_parities)
+from test_engine import small_models
 
 
 def swap_LR_3q():
@@ -228,3 +229,39 @@ def test_total_hamiltonian_commutes_exactly_with_the_parity(
             assert set(p) == {1.0, -1.0}
             # H diag(P) - diag(P) H, elementwise
             assert np.count_nonzero(h * p - p[:, None] * h) == 0
+
+
+def kron_total_hamiltonian(cfg):
+    """kron(H_sys, I) + sum embed(h_env) + H_int, term by term."""
+    n, dims = cfg.n_qubits, cfg.joint_dims()
+    d_env = int(np.prod(dims[n:]))
+    h = la.kron(build_system_hamiltonian(cfg.coupling, n),
+                np.eye(d_env, dtype=np.complex128))
+    for k in range(len(cfg.attached_terminals)):
+        h += embed(build_env_local_hamiltonian(cfg.env), n + k, dims)
+    return h + build_interaction_hamiltonian(cfg.g, cfg.env, n)
+
+
+KRON_MODELS = {
+    "baseline": ModelConfig.default(),
+    "symmetric": ModelConfig.default("symmetric"),
+    "asymmetric": ModelConfig.default("asymmetric", g=3.7),
+    "nonlinear": ModelConfig.default(kind="qutrit-nonlinear", epsilon=-0.03),
+    "qubit": ModelConfig.default(kind="qubit"),
+    "appendixA": ModelConfig.default("appendixA"),
+    "no_R": ModelConfig.default(attach_R=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRON_MODELS))
+def test_total_hamiltonian_equals_its_kron_form(name):
+    cfg = KRON_MODELS[name]
+    assert np.array_equal(build_total_hamiltonian(cfg),
+                          kron_total_hamiltonian(cfg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models())
+def test_total_hamiltonian_equals_its_kron_form_for_any_model(cfg):
+    assert np.array_equal(build_total_hamiltonian(cfg),
+                          kron_total_hamiltonian(cfg))
