@@ -14,6 +14,11 @@ for neither side), and whether the pairs show a gain: the change wins at
 least nine pairs in ten, and its median is better than the parent's by
 more than the parent's interquartile range.  Failed and attempted rows
 are summed per side.
+
+The two checkouts must be alike in one respect the benchmark cannot see:
+a tree holding ``src/qtransistor/__pycache__`` skips compiling the
+package, so it starts sooner and peaks lower.  When exactly one of them
+holds it, the script runs nothing and exits with status 2.
 """
 
 from __future__ import annotations
@@ -77,6 +82,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    cached = [(checkout / "src" / "qtransistor" / "__pycache__").is_dir()
+              for checkout in (args.parent, args.change)]
+    if cached[0] != cached[1]:
+        print(f"bench_pairs: only the {('parent', 'change')[cached[1]]} "
+              "checkout holds src/qtransistor/__pycache__, which makes its "
+              "runs start sooner and peak lower; remove it or compile both",
+              file=sys.stderr)
+        return 2
     bench = json.loads((args.parent / "BENCHMARK.json").read_text(
         encoding="utf-8"))
 

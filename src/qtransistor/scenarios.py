@@ -287,13 +287,11 @@ def _fig12(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
         # cutoffs about 0.1 apart, each on the sample grid
         step = max(1, round(0.1 / cfg.sample_dt)) * cfg.sample_dt
         cutoffs = np.round(np.arange(step, t_max + 1e-9, step), 10)
-        columns = [("t", U_TIME)]
-        series = {}
-        for x in cfg.system_terminals:
-            series[x] = nonmarkov.blp_series(cfg, x, cutoffs, ctx.search)
-            columns.append((f"N_{x}", U_NONE))
-        rows = [[float(c)] + [float(series[x][i])
-                              for x in cfg.system_terminals]
+        series = nonmarkov.blp_series(cfg, cfg.system_terminals, cutoffs,
+                                      ctx.search)
+        columns = [("t", U_TIME)] + [(f"N_{x}", U_NONE)
+                                     for x in cfg.system_terminals]
+        rows = [[float(c)] + [float(v) for v in series[:, i]]
                 for i, c in enumerate(cutoffs)]
         tables.append(Table(f"fig12_{preset}", columns, rows,
                             [""] * len(rows)))

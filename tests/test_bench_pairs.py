@@ -1,6 +1,7 @@
 """The verdict of the interleaved benchmark-pairs script, on canned runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -46,3 +47,43 @@ def test_too_few_wins_or_a_gap_inside_the_iqr_show_no_gain():
     assert points.endswith("change wins 10/10; gain not shown")
     assert (parent, change) == ("parent: 0/100 rows failed",
                                 "change: 10/100 rows failed")
+
+
+def checkouts(tmp_path, cached):
+    dirs = []
+    for side, has_cache in zip(("parent", "change"), cached):
+        package = tmp_path / side / "src" / "qtransistor"
+        package.mkdir(parents=True)
+        if has_cache:
+            (package / "__pycache__").mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"command": ["true"], "end_to_end": END_TO_END}))
+        dirs.append(str(tmp_path / side))
+    return dirs + ["--workload", "backflow", "--pairs", "2", "--seconds",
+                   "1", "--seed0", "1"]
+
+
+def test_checkouts_unlike_in_their_bytecode_cache_are_refused(
+        tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark was started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    assert bench_pairs.main(checkouts(tmp_path, (False, True))) == 2
+    assert "only the change checkout holds src/qtransistor/__pycache__" \
+        in capsys.readouterr().err
+
+
+def test_checkouts_alike_in_their_bytecode_cache_are_run(tmp_path,
+                                                         monkeypatch):
+    runs = []
+
+    def canned(checkout, *args):
+        runs.append(Path(checkout).name)
+        return result(30.0, 48.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    for i, cached in enumerate(((False, False), (True, True))):
+        assert bench_pairs.main(checkouts(tmp_path / str(i), cached)) == 0
+    # the parent goes first on even pairs, the change on odd ones
+    assert runs == ["parent", "change", "change", "parent"] * 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransistor import cli, engine
 from qtransistor import linalg as la
@@ -109,6 +111,43 @@ def test_linear_map_reproduces_direct_simulation():
         assert np.max(np.abs(direct - fast)) < 1e-10
 
 
+PROBE_MODELS = {
+    "baseline": coarse(),
+    "symmetric": ModelConfig.default("symmetric", sample_dt=0.1),
+    "asymmetric": ModelConfig.default("asymmetric", sample_dt=0.1),
+    "appendixA": ModelConfig.default("appendixA", sample_dt=0.1),
+    "qubit": coarse(kind="qubit"),
+    "nonlinear": coarse(kind="qutrit-nonlinear", epsilon=-0.4),
+    "no_R": coarse(attach_R=False),
+}
+
+angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(PROBE_MODELS)), st.data())
+def test_quadratic_form_of_the_probe_map(name, data):
+    cfg = PROBE_MODELS[name]
+    terminal = data.draw(st.sampled_from(cfg.system_terminals))
+    rmap = nonmarkov._ReducedMap(cfg, terminal, 1.0)
+    q = rmap.q.transpose(2, 0, 1)  # (n_times, 3, 3)
+    assert np.array_equal(q, q.swapaxes(1, 2))
+    assert np.linalg.eigvalsh(q).min() >= -1e-14
+    # the map never mixes the xy components of the probe with z
+    assert np.abs(q[:, :2, 2]).max() <= 1e-14
+
+    pair = tuple(BlochState(*data.draw(angles)) for _ in range(2))
+    direct = distance_series(cfg, terminal, pair, 1.0)
+    fast = rmap.pair_distance(pair[0].bloch_vector - pair[1].bloch_vector)
+    assert np.max(np.abs(direct - fast)) <= 1e-12
+
+    s = BlochState(*data.draw(angles))
+    turned = BlochState(s.theta, s.phi + math.pi)
+    d, d_turned = (rmap.pair_distance(2.0 * b.bloch_vector)
+                   for b in (s, turned))
+    assert np.max(np.abs(d - d_turned)) <= 1e-14
+
+
 def test_decoupled_probe_never_gains_distinguishability():
     cfg = coarse(g=0.0)
     d = distance_series(cfg, "M", (Z_PLUS, X_PLUS), 1.0)
@@ -180,6 +219,86 @@ def test_no_general_pair_beats_the_best_antipodal_pair(preset, terminal):
     assert general <= antipodal + 1e-12
 
 
+def scalar_search(rmap, i_cut, search):
+    """The search one cutoff and one pair at a time: the first grid
+    maximum, then coordinate descent with shrinking steps."""
+    def score(theta, phi):
+        delta = 2.0 * BlochState(theta, phi).bloch_vector
+        return nonmarkov._cumulative_positive(
+            rmap.pair_distance(delta))[i_cut]
+
+    thetas = np.linspace(0.0, math.pi, search.grid_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
+    grid = [(float(th), float(ph)) for th in thetas for ph in phis]
+    deltas = np.stack([2.0 * BlochState(*a).bloch_vector for a in grid])
+    cums = nonmarkov._cumulative_positive(rmap.pair_distance(deltas))
+    theta, phi = grid[int(np.argmax(cums[:, i_cut]))]
+    best = score(theta, phi)
+    step_t = float(thetas[1] - thetas[0]) / 2.0
+    step_p = float(phis[1] - phis[0]) / 2.0
+    while max(step_t, step_p) > search.refine_tol:
+        improved = False
+        for dt_, dp_ in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p),
+                         (0.0, -step_p)):
+            th = min(max(theta + dt_, 0.0), math.pi)
+            ph = (phi + dp_) % (2.0 * math.pi)
+            val = score(th, ph)
+            if val > best + 1e-15:
+                theta, phi, best = th, ph, val
+                improved = True
+        if not improved:
+            step_t *= 0.5
+            step_p *= 0.5
+    return best, (theta, phi)
+
+
+class RuggedMap:
+    """A stand-in for ``_ReducedMap`` whose backflow has many local maxima
+    in (theta, phi), so that every detail of a descent shows in its end
+    point."""
+
+    times = np.arange(16)
+
+    def pair_distance(self, delta_r):
+        x, y, z = (np.asarray(delta_r)[..., i, None] for i in range(3))
+        k = self.times
+        return np.sin(3.0 * k * x + 2.0 * y) * np.cos(0.5 * k * z - x * y)
+
+
+@pytest.fixture(scope="module")
+def preset_maps():
+    """Reduced maps to t = 1.5 at the default sample grid, each with the
+    sample index of every cutoff 0.1 ... 1.5."""
+    cut = 10 * np.arange(1, 16)
+    return [(nonmarkov._ReducedMap(ModelConfig.default(preset), x, 1.5), cut)
+            for preset in ("baseline", "symmetric", "asymmetric")
+            for x in ("L", "M", "R")]
+
+
+@pytest.mark.parametrize("search", (SMALL, SearchConfig()),
+                         ids=("small", "default"))
+def test_lockstep_search_matches_the_scalar_descent(preset_maps, search):
+    for rmap, cut in preset_maps + [(RuggedMap(), np.arange(1, 16))]:
+        found = nonmarkov._antipodal_search(rmap, cut, search)
+        for i_cut, (val, (th, ph)) in zip(cut, found):
+            ref_val, (ref_th, ref_ph) = scalar_search(rmap, i_cut, search)
+            assert abs(val - ref_val) <= 1e-12
+            assert abs(th - ref_th) <= 1e-12
+            # the probe map's D is even under phi -> phi + pi
+            turn = (ph - ref_ph) % math.pi
+            assert min(turn, math.pi - turn) <= 1e-12
+
+
+def test_a_cutoff_searched_alone_or_with_the_others_gives_equal_bits(
+        preset_maps):
+    for rmap, cut in preset_maps:
+        together = [v for v, _ in nonmarkov._antipodal_search(
+            rmap, cut, SearchConfig())]
+        alone = [nonmarkov._antipodal_search(rmap, [c], SearchConfig())[0][0]
+                 for c in cut]
+        assert np.array_equal(alone, together)
+
+
 def test_backflow_never_runs_per_window_evolution(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-window evolution called")
@@ -232,6 +351,26 @@ def test_series_cutoffs_sit_exactly_on_the_sample_grid(tmp_path):
         encoding="utf-8").splitlines()
     assert [float(r.split(",")[0]) for r in lines[1:]] == \
         [0.25, 0.5, 0.75, 1.0]
+
+
+def test_terminals_share_one_run_and_match_their_own_series(monkeypatch):
+    cfg = coarse()
+    cutoffs = [0.5, 1.0, 1.5]
+    calls = []
+    real = nonmarkov.sample_states
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(nonmarkov, "sample_states", counted)
+    rows = blp_series(cfg, cfg.system_terminals, cutoffs, SMALL)
+    assert calls == [12]
+    assert rows.shape == (3, 3)
+    for x, row in zip(cfg.system_terminals, rows):
+        assert np.array_equal(row, blp_series(cfg, x, cutoffs, SMALL))
+    with pytest.raises(ValueError, match="unknown terminal"):
+        blp_series(cfg, ("L", "Q"), cutoffs, SMALL)
 
 
 def test_series_is_monotone_and_meets_the_full_measure(measured_M):
