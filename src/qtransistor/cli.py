@@ -24,11 +24,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from . import __version__, metrics
+from . import __version__
 from .config import (ConfigError, RunConfig, manifest_parameters,
-                     parse_config, parse_set_overrides, sweep_ignored_keys)
-from .output import sweep_table, write_manifest, write_table
-from .scenarios import SCENARIOS, build_tables, scenario_names
+                     parse_config, run_tables)
+from .output import write_manifest, write_table
+from .scenarios import SCENARIOS, scenario_names
 
 ENV_OUT = "QTRANSISTOR_OUT"
 
@@ -69,41 +69,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            [f"cannot read config file {path!r}: {exc}"]) from None
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if (args.scenario is None) == (args.config is None):
         raise ConfigError(
             ["run requires exactly one of --scenario and --config"])
-    overrides, blp = parse_set_overrides(args.sets)
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(
-                [f"cannot read config file {args.config!r}: {exc}"]
-            ) from None
-        # --set t beats [sweep] t and [run] t like any other --set
-        rc = parse_config(text, overrides.get("t"))
-        if rc.sweep is not None:
-            ignored = [k for k in sweep_ignored_keys(rc.sweep.axis)
-                       if k in overrides]
-            if ignored:
-                raise ConfigError(
-                    [f"--set {k}={overrides[k]!r}: {k} is not read by a "
-                     f"[sweep] run with axis = {rc.sweep.axis}"
-                     for k in ignored])
-        if overrides:
-            rc = dataclasses.replace(
-                rc, overrides={**rc.overrides, **overrides})
+        text = _read_config(args.config)
+    elif args.scenario in SCENARIOS:
+        text = f"[run]\nscenario = {args.scenario}\n"
     else:
-        if args.scenario not in SCENARIOS:
-            raise ConfigError(
-                [f"unknown scenario {args.scenario!r}; known: "
-                 + ", ".join(scenario_names())])
-        rc = RunConfig(scenario=args.scenario, sweep=None,
-                       overrides=overrides)
-    if blp:
-        rc = dataclasses.replace(
-            rc, search=dataclasses.replace(rc.search, **blp))
+        raise ConfigError(
+            [f"unknown scenario {args.scenario!r}; known: "
+             + ", ".join(scenario_names())])
+    rc = parse_config(text, args.sets)
     if args.workers is not None:
         if args.workers < 1:
             raise ConfigError([f"--workers must be >= 1, got {args.workers}"])
@@ -112,10 +98,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         rc = dataclasses.replace(rc, boundary=args.boundary)
     if args.out is not None:
         rc = dataclasses.replace(rc, out_dir=args.out)
-    try:
-        rc.resolved_model()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError([f"model rejected: {exc}"]) from None
     return rc
 
 
@@ -128,24 +110,11 @@ def _resolve_out_dir(rc: RunConfig) -> Path:
     return Path(out)
 
 
-def _sweep_tables(rc: RunConfig):
-    spec = rc.sweep
-    model = rc.resolved_model()
-    result = metrics.sweep(model, spec.axis, spec.grid(), spec.terminals,
-                           t=spec.t, boundary=rc.boundary)
-    return [sweep_table(result, f"sweep_{spec.axis}",
-                        model.modulating_terminal)]
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
     out_dir = _resolve_out_dir(rc)
     t0 = time.perf_counter()
-    if rc.scenario is not None:
-        tables = build_tables(rc.scenario, rc.overrides,
-                              boundary=rc.boundary, search=rc.search)
-    else:
-        tables = _sweep_tables(rc)
+    tables = run_tables(rc)
     paths = [write_table(tb, out_dir) for tb in tables]
     failed = sum(tb.failed_rows for tb in tables)
     manifest = write_manifest(
@@ -173,12 +142,7 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(
-            [f"cannot read config file {args.config!r}: {exc}"]) from None
-    rc = parse_config(text)
+    rc = parse_config(_read_config(args.config))
     what = (f"scenario {rc.scenario}" if rc.scenario
             else f"sweep over {rc.sweep.axis} "
                  f"[{rc.sweep.start}, {rc.sweep.stop}] step {rc.sweep.step}")

@@ -14,6 +14,13 @@ all reported with the line they occur on; nothing is computed until the
 whole document validates.  Omitted keys fall back to the reference setup
 (delta = 3, g = 4, collision window 0.5, T_L = 4, T_M = T_R = 10,
 stencil step h = 0.05, sample spacing 0.01).
+
+``parse_config`` is the one place where a run's settings are decided:
+``--set key=value`` pairs (any [model] or [blp] key, plus ``t`` and
+``t_max``) are merged over the document's values first, and every
+cross-field check (keys a [sweep] run would not read, the evaluation time,
+the epsilon-sweep kind, the combined model) then runs once, on the merged
+values.
 """
 
 from __future__ import annotations
@@ -22,18 +29,19 @@ import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import SWEEP_AXES
+from . import metrics
 from .model import COUPLING_PRESETS, ENV_KINDS, ModelConfig, TERMINALS
 from .nonmarkov import SearchConfig
-from .scenarios import RUN_OVERRIDE_KEYS, _make_config, scenario_names
+from .output import Table, sweep_table
+from .scenarios import (RUN_OVERRIDE_KEYS, _make_config, build_tables,
+                        scenario_names)
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config",
-           "parse_set_overrides", "manifest_parameters",
-           "sweep_ignored_keys"]
+           "parse_set_overrides", "manifest_parameters", "run_tables"]
 
 
 class ConfigError(ValueError):
@@ -123,7 +131,7 @@ _RUN_KEYS: Dict[str, _Key] = {
 }
 
 _SWEEP_KEYS: Dict[str, _Key] = {
-    "axis": _ckey(SWEEP_AXES),
+    "axis": _ckey(metrics.SWEEP_AXES),
     "start": _fkey(),
     "stop": _fkey(),
     "step": _fkey(*_POS),
@@ -140,12 +148,6 @@ _BLP_KEYS: Dict[str, _Key] = {
 
 _SECTIONS = {"run": _RUN_KEYS, "model": _MODEL_KEYS, "sweep": _SWEEP_KEYS,
              "blp": _BLP_KEYS}
-
-
-def sweep_ignored_keys(axis: str) -> Tuple[str, ...]:
-    """Run keys that a [sweep] run along ``axis`` never reads: it has no
-    horizon, and an axis = t sweep takes its times from the grid."""
-    return ("t_max", "t") if axis == "t" else ("t_max",)
 
 
 @dataclass(frozen=True)
@@ -242,13 +244,15 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
-    """Validate an INI document and resolve it into a RunConfig.
+def parse_config(text: str, sets: Sequence[str] = ()) -> RunConfig:
+    """Validate an INI document plus ``--set key=value`` pairs and resolve
+    them into a RunConfig.
 
-    ``t`` is an evaluation time given outside the document (``--set t``);
-    it beats ``t`` in [sweep] and [run].  Run keys that a [sweep] run
-    would not read (``sweep_ignored_keys``) are rejected.
+    The pairs are checked by ``parse_set_overrides`` and merged over the
+    document's values (``--set t`` also beats ``t`` in [sweep]) before any
+    cross-field check, so every check runs once, on the values the run uses.
     """
+    set_values, set_blp = parse_set_overrides(sets)
     parser = _read_ini(text)
     lines = _line_map(text)
     problems: List[str] = []
@@ -289,9 +293,12 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
             values[section][spec.dest or key] = val
 
     run = values["run"]
-    # raw presence, so a misspelled scenario name is reported only once
-    has_scenario = parser.has_section("run") and \
-        parser.has_option("run", "scenario")
+    overrides = dict(values["model"])
+    overrides.update((k, run[k]) for k in RUN_OVERRIDE_KEYS if k in run)
+    overrides.update(set_values)
+
+    # presence from the raw document, so an invalid value is reported once
+    has_scenario = parser.has_option("run", "scenario")
     has_sweep = parser.has_section("sweep")
     if has_scenario == has_sweep:
         which = "both given" if has_scenario else "neither given"
@@ -302,14 +309,21 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
     sweep_spec: Optional[SweepSpec] = None
     if has_sweep and not has_scenario:
         sw = values["sweep"]
-        ignored = sweep_ignored_keys(sw["axis"]) if "axis" in sw else ()
+        axis = sw.get("axis")
+        # run keys a [sweep] run never reads: it has no horizon, and an
+        # axis = t sweep takes its times from the grid
+        ignored = () if axis is None else \
+            ("t_max", "t") if axis == "t" else ("t_max",)
         problems += [
             f"{at(section, k)}{k} in [{section}] is not read by a [sweep] "
-            f"run with axis = {sw['axis']}"
+            f"run with axis = {axis}"
             for section in ("run", "sweep") for k in ignored
             if k in values[section]]
+        problems += [
+            f"--set {k}={set_values[k]!r}: {k} is not read by a [sweep] run "
+            f"with axis = {axis}" for k in ignored if k in set_values]
         missing = [k for k in ("axis", "start", "stop", "step")
-                   if k not in sw]
+                   if not parser.has_option("sweep", k)]
         for k in missing:
             problems.append(
                 f"{at('sweep')}missing required key {k!r} in [sweep]")
@@ -318,28 +332,23 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
                 problems.append(
                     f"{at('sweep', 'stop')}sweep stop {sw['stop']} is below "
                     f"start {sw['start']}")
-            t_eval = t if t is not None else sw.get("t", run.get("t"))
-            if sw["axis"] != "t" and t_eval is None:
+            t_eval = set_values.get("t", sw.get("t", run.get("t")))
+            if axis != "t" and t_eval is None:
                 problems.append(
-                    f"{at('sweep')}axis {sw['axis']!r} needs an evaluation "
+                    f"{at('sweep')}axis {axis!r} needs an evaluation "
                     "time: set t in [sweep] or [run]")
-            if sw["axis"] == "epsilon" and \
-                    values["model"].get("kind") != "qutrit-nonlinear":
+            if axis == "epsilon" and \
+                    overrides.get("kind") != "qutrit-nonlinear":
                 problems.append(
                     f"{at('sweep', 'axis')}epsilon sweep requires "
                     "kind = qutrit-nonlinear in [model]")
             if not problems:
                 sweep_spec = SweepSpec(
-                    axis=sw["axis"], start=sw["start"], stop=sw["stop"],
+                    axis=axis, start=sw["start"], stop=sw["stop"],
                     step=sw["step"], t=t_eval, terminals=sw.get("terminals"))
 
     if problems:
         raise ConfigError(sorted(problems, key=_problem_order))
-
-    overrides = dict(values["model"])
-    for k in RUN_OVERRIDE_KEYS:
-        if k in run:
-            overrides[k] = run[k]
 
     rc = RunConfig(
         scenario=run.get("scenario"),
@@ -348,8 +357,7 @@ def parse_config(text: str, t: Optional[float] = None) -> RunConfig:
         out_dir=run.get("out"),
         workers=run.get("workers", 1),
         boundary=run.get("boundary", "left"),
-        search=SearchConfig(**values["blp"]) if values["blp"]
-        else SearchConfig(),
+        search=SearchConfig(**{**values["blp"], **set_blp}),
     )
     try:
         rc.resolved_model()  # combined-value validation (divisibility etc.)
@@ -366,8 +374,8 @@ for _k in RUN_OVERRIDE_KEYS:
     _SET_KEYS[_k] = ("run", _RUN_KEYS[_k])
 
 
-def parse_set_overrides(pairs: List[str]) -> Tuple[Dict[str, Any],
-                                                   Dict[str, Any]]:
+def parse_set_overrides(pairs: Sequence[str]) -> Tuple[Dict[str, Any],
+                                                       Dict[str, Any]]:
     """Validate ``--set key=value`` pairs.
 
     Returns (model-and-time overrides, blp overrides); diagnostics carry
@@ -402,6 +410,18 @@ def parse_set_overrides(pairs: List[str]) -> Tuple[Dict[str, Any],
     if problems:
         raise ConfigError(problems)
     return overrides, blp
+
+
+def run_tables(rc: RunConfig) -> List[Table]:
+    """The tables of a validated run: its scenario's, or its sweep's."""
+    if rc.scenario is not None:
+        return build_tables(rc.scenario, rc.overrides, boundary=rc.boundary,
+                            search=rc.search)
+    spec, model = rc.sweep, rc.resolved_model()
+    result = metrics.sweep(model, spec.axis, spec.grid(), spec.terminals,
+                           t=spec.t, boundary=rc.boundary)
+    return [sweep_table(result, f"sweep_{spec.axis}",
+                        model.modulating_terminal)]
 
 
 def manifest_parameters(rc: RunConfig) -> Dict[str, Any]:

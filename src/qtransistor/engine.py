@@ -67,7 +67,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -89,15 +89,6 @@ def initial_state(n_qubits: int = 3) -> np.ndarray:
     rho = np.zeros((d, d), dtype=np.complex128)
     rho[0, 0] = 1.0
     return rho
-
-
-class _Sector(NamedTuple):
-    """Spectral data of H_tot on one local-parity sector."""
-
-    index: np.ndarray  # joint-space indices of the sector, ascending
-    w: np.ndarray  # eigenvalues
-    v: np.ndarray  # eigenvectors, rows in ``index`` order
-    current_ops: np.ndarray  # K_X' per terminal, in this eigenbasis
 
 
 class _Core:
@@ -145,12 +136,6 @@ class _Core:
             if not config.env.is_attached(t):
                 # no coupling: H_X commutes with H_tot
                 self.current_ops[:, x] = 0.0
-
-    @property
-    def sectors(self) -> list:
-        """One view of the stacked spectral data per sector."""
-        return [_Sector(*parts) for parts in
-                zip(self.index, self.w, self.v, self.current_ops)]
 
 
 def _real_currents(cur: np.ndarray) -> np.ndarray:

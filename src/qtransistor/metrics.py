@@ -306,13 +306,11 @@ def sweep(
     t: Optional[float] = None,
     divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
-    workers: int = 1,
 ) -> SweepResult:
     """Amplification and currents along one parameter axis.
 
     ``axis`` is one of T_M / t / g / epsilon.  For every axis except ``t`` the
-    evaluation time ``t`` is required.  Grid points run in series, whatever
-    ``workers`` says; the argument is kept for callers that record it.
+    evaluation time ``t`` is required.  Grid points run in series.
     Per-point failures are recorded on the point and do not abort the sweep;
     the points of a T_M sweep share one stencil call, so an error raised
     inside that call is recorded on each of them.

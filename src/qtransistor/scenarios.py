@@ -47,7 +47,8 @@ class RunContext:
 class Scenario:
     name: str
     description: str
-    build: Callable[[Optional[Dict], RunContext], List[Table]] = field(
+    # (model overrides, run overrides t / t_max, context) -> tables
+    build: Callable[[Dict, Dict, RunContext], List[Table]] = field(
         repr=False)
 
 
@@ -110,8 +111,7 @@ def _sweep_table(
     return Table(stem=stem, columns=columns, rows=rows, errors=errors)
 
 
-def _fig2(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig2(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
@@ -132,8 +132,7 @@ def _fig2(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [Table("fig2", columns, rows, errors)]
 
 
-def _fig3(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig3(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
     sweeps = []
@@ -144,8 +143,7 @@ def _fig3(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig3", ("T_M", U_TEMP), sweeps)]
 
 
-def _fig4(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig4(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t_max = float(run.get("t_max", 5.0))
     grid = _time_grid(cfg, t_max)
@@ -154,8 +152,7 @@ def _fig4(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig4", ("t", U_TIME), sweeps)]
 
 
-def _fig5(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig5(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
@@ -173,8 +170,7 @@ def _detached_configs(model: Dict) -> Dict[str, ModelConfig]:
     }
 
 
-def _fig6(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig6(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t_max = float(run.get("t_max", 3.0))
     sweeps = []
     for case, cfg in _detached_configs(model).items():
@@ -186,8 +182,7 @@ def _fig6(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig6", ("t", U_TIME), sweeps)]
 
 
-def _fig7(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig7(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 0.7))
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
     sweeps = []
@@ -199,8 +194,7 @@ def _fig7(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig7", ("g", "1/" + U_TIME), sweeps)]
 
 
-def _fig8(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig8(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 0.4))
     t_max = float(run.get("t_max", 3.0))
     temp_grid = np.round(np.arange(0.5, 12.0 + 1e-9, 0.25), 10)
@@ -237,8 +231,7 @@ def _eps_label(eps: float) -> str:
     return "alpha_L[linear]" if eps == 0.0 else f"alpha_L[eps={eps}]"
 
 
-def _fig9(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig9(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
     sweeps = []
@@ -249,8 +242,7 @@ def _fig9(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig9", ("T_M", U_TEMP), sweeps)]
 
 
-def _fig10(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig10(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t_max = float(run.get("t_max", 3.0))
     sweeps = []
     for eps in (0.0, -0.01, 0.01):
@@ -261,8 +253,7 @@ def _fig10(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return [_sweep_table("fig10", ("t", U_TIME), sweeps)]
 
 
-def _fig11(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig11(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t = float(run.get("t", 0.4))
     grid = np.round(np.arange(0.5, 12.0 + 1e-9, 0.25), 10)
     tables = []
@@ -278,8 +269,7 @@ def _fig11(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return tables
 
 
-def _fig12(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig12(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     t_max = float(run.get("t_max", 3.0))
     tables = []
     for preset in ("baseline", "symmetric", "asymmetric"):
@@ -298,8 +288,7 @@ def _fig12(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     return tables
 
 
-def _fig13(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _fig13(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config({"kind": "qubit", **model})
     t_star = float(run.get("t", 9.7))
     t_max = float(run.get("t_max", 10.0))
@@ -316,8 +305,7 @@ def _fig13(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
     ]
 
 
-def _appendixA(overrides: Optional[Dict], ctx: RunContext) -> List[Table]:
-    run, model = _split_overrides(overrides)
+def _appendixA(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config({"T_R": 4.0, **model}, preset="appendixA",
                        allow_preset=False)
     t = float(run.get("t", 1.0))
@@ -387,4 +375,5 @@ def build_tables(
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
     ctx = RunContext(boundary=boundary,
                      search=search or nonmarkov.SearchConfig())
-    return SCENARIOS[name].build(overrides, ctx)
+    run, model = _split_overrides(overrides)
+    return SCENARIOS[name].build(model, run, ctx)

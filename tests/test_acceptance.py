@@ -128,8 +128,7 @@ def test_criterion_04_amplification_jump_periodicity():
 
 def test_criterion_05_coupling_sweep_structure():
     grid = _grid(3.5, 4.5, 0.01)
-    base = sweep(ModelConfig.default(), "g", grid, terminals=("L",),
-                 t=1.0, workers=4)
+    base = sweep(ModelConfig.default(), "g", grid, terminals=("L",), t=1.0)
     a_base = _alphas(base, "L")
     below = float(a_base[np.searchsorted(grid, 3.99)])
     above = float(a_base[np.searchsorted(grid, 4.01)])
@@ -137,9 +136,9 @@ def test_criterion_05_coupling_sweep_structure():
 
     detached = ModelConfig.default(T_M=8.0)
     right_det = sweep(detached.replace(attach_R=False), "g", grid,
-                      terminals=("L",), t=0.7, workers=4)
+                      terminals=("L",), t=0.7)
     left_det = sweep(detached.replace(attach_L=False), "g", grid,
-                     terminals=("R",), t=0.7, workers=4)
+                     terminals=("R",), t=0.7)
     g_right = float(grid[np.nanargmax(np.abs(_alphas(right_det, "L")))])
     g_left = float(grid[np.nanargmax(np.abs(_alphas(left_det, "R")))])
     _report(5, [
@@ -178,7 +177,7 @@ def test_criterion_07_qubit_ancilla_maxima():
     i_l, i_r = int(np.nanargmax(a_l)), int(np.nanargmax(a_r))
 
     temps = _grid(4.0, 12.0, 0.5)
-    ramp = sweep(cfg, "T_M", temps, terminals=("L", "R"), t=9.7, workers=4)
+    ramp = sweep(cfg, "T_M", temps, terminals=("L", "R"), t=9.7)
     mono_l = bool(np.all(np.diff(_alphas(ramp, "L")) > 0.0))
     mono_r = bool(np.all(np.diff(_alphas(ramp, "R")) > 0.0))
     _report(7, [
@@ -234,7 +233,7 @@ def test_criterion_09_two_qubit_amplification_window():
     grid = _grid(0.2, 4.0, 0.05)  # lower edge keeps the stencil physical
     cfg = ModelConfig.default("appendixA", T_R=4.0)
     mags = np.abs(_alphas(sweep(cfg, "T_M", grid, terminals=("R",),
-                                t=1.0, workers=4), "R"))
+                                t=1.0), "R"))
     above = mags > 1.0
     inside = bool(np.all(above[grid <= 2.488 - 0.05]))
     outside = bool(~np.any(above[grid >= 2.488 + 0.05]))
@@ -243,7 +242,7 @@ def test_criterion_09_two_qubit_amplification_window():
     equal = cfg.replace(coupling=dataclasses.replace(cfg.coupling,
                                                      omega_R=1.0))
     flat = np.abs(_alphas(sweep(equal, "T_M", grid, terminals=("R",),
-                                t=1.0, workers=4), "R"))
+                                t=1.0), "R"))
     _report(9, [
         ("|alpha| > 1 up to T_L = 2.488 - 0.05", inside,
          f"min |alpha| below = {mags[grid <= 2.488 - 0.05].min():.4f}"),
@@ -322,8 +321,8 @@ def test_criterion_10_property_suite():
                    f"N = {backflow:.2e}"))
 
     grid = [5.0, 7.5, 10.0]
-    serial = sweep(ModelConfig.default(), "T_M", grid, t=1.0, workers=1)
-    pooled = sweep(ModelConfig.default(), "T_M", grid, t=1.0, workers=3)
+    first = sweep(ModelConfig.default(), "T_M", grid, t=1.0)
+    again = sweep(ModelConfig.default(), "T_M", grid, t=1.0)
     identical = all(
         p.error == q.error
         and all(_same(p.currents[x], q.currents[x]) for x in p.currents)
@@ -331,8 +330,8 @@ def test_criterion_10_property_suite():
                 for x in p.derivatives)
         and all(_same(p.alphas[x].alpha, q.alphas[x].alpha)
                 for x in p.alphas)
-        for p, q in zip(serial.values, pooled.values))
-    checks.append(("worker count never changes results", identical,
+        for p, q in zip(first.values, again.values))
+    checks.append(("a repeated sweep gives the same bits", identical,
                    f"{len(grid)} points compared bit-for-bit"))
 
     _report(10, checks)

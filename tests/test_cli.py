@@ -228,6 +228,18 @@ def test_sweep_rejects_run_keys_it_would_not_read():
     assert parse_config("[run]\nscenario = fig12\nt = 1.0\nt_max = 2.0\n")
 
 
+def test_an_invalid_sweep_value_is_reported_once():
+    for text, problem in (
+            ("[sweep]\naxis = bogus\nstart = 0.5\nstop = 1.0\nstep = 0.5\n",
+             "line 2: axis = 'bogus' out of domain"),
+            ("[sweep]\naxis = t\nstart = x\nstop = 1.0\nstep = 0.5\n",
+             "line 3: start = 'x' is not a valid number")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        [only] = exc.value.problems
+        assert only.startswith(problem)
+
+
 def test_combined_model_validation_runs_last():
     # each value is fine alone; together the grids don't divide
     with pytest.raises(ConfigError, match="model rejected"):
@@ -500,6 +512,52 @@ def test_set_rejects_run_keys_a_sweep_would_not_read(tmp_path, capsys):
     assert code == EXIT_CONFIG and not out.exists()
     assert "--set t=1.0: t is not read by a [sweep] run with axis = t" in err
     assert run(on_t, "plain")[0] == EXIT_OK
+
+
+def run_with_sets(tmp_path, text, name, *sets):
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / name
+    args = [a for pair in sets for a in ("--set", pair)]
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out), *args])
+    return code, out
+
+
+EPSILON_DOC = SWEEP_DOC.replace(
+    "axis = T_M\nstart = 5.0\nstop = 6.0\nstep = 0.5",
+    "axis = epsilon\nstart = 0.0\nstop = 0.01\nstep = 0.01")
+
+
+def test_set_supplies_the_kind_an_epsilon_sweep_needs(tmp_path):
+    code, out = run_with_sets(tmp_path, EPSILON_DOC, "set",
+                              "kind=qutrit-nonlinear")
+    assert code == EXIT_OK
+    in_file = EPSILON_DOC.replace("[model]\n",
+                                  "[model]\nkind = qutrit-nonlinear\n")
+    assert run_with_sets(tmp_path, in_file, "file")[0] == EXIT_OK
+    table = "sweep_epsilon.csv"
+    assert (out / table).read_bytes() == \
+        (tmp_path / "file" / table).read_bytes()
+
+
+def test_set_kind_that_breaks_an_epsilon_sweep_is_rejected(tmp_path, capsys):
+    in_file = EPSILON_DOC.replace("[model]\n",
+                                  "[model]\nkind = qutrit-nonlinear\n")
+    code, out = run_with_sets(tmp_path, in_file, "qubit", "kind=qubit")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "epsilon sweep requires kind = qutrit-nonlinear" in \
+        capsys.readouterr().err
+
+
+def test_set_model_values_are_checked_with_the_file_values(tmp_path, capsys):
+    # sample_dt = 0.3 divides the window only once --set widens it
+    coarse = SWEEP_DOC.replace("t = 0.5", "t = 0.6").replace(
+        "sample_dt = 0.1", "sample_dt = 0.3")
+    assert run_with_sets(tmp_path, coarse, "wide",
+                         "dt_collision=0.6")[0] == EXIT_OK
+    code, out = run_with_sets(tmp_path, SWEEP_DOC, "broken", "sample_dt=0.3")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "model rejected" in capsys.readouterr().err
 
 
 def test_two_qubit_sweep_names_columns_after_the_modulating_bath(tmp_path):

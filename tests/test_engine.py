@@ -334,7 +334,8 @@ def test_window_unitary_matches_dense_exponential(name):
     cfg = CHANNEL_MODELS[name]
     core = _Core(cfg)
     h = build_total_hamiltonian(cfg)
-    assert sum(len(sec.index) for sec in core.sectors) == len(h)
+    # the stacked sector indices cover the joint space once
+    assert np.array_equal(np.sort(core.index, axis=None), np.arange(len(h)))
     for tau in (cfg.sample_dt, cfg.dt_collision):
         u = _window_unitary(core, tau).reshape(h.shape)
         assert np.max(np.abs(u - la.unitary_exp(h, tau))) < 1e-12
@@ -573,11 +574,13 @@ def test_core_keeps_its_spectral_data_per_parity_sector():
         return a
 
     arrays = [a for a in vars(core).values() if isinstance(a, np.ndarray)]
-    arrays += [a for sec in core.sectors for a in sec]
     buffers = {id(root(a)): root(a) for a in arrays}
-    sizes = [len(sec.index) for sec in core.sectors]
-    assert sizes == [27] * 8
     n_terms = len(core.terminals)
+    # stacked over the sectors: one row of each array per sector
+    assert core.index.shape == core.w.shape == (8, 27)
+    assert core.v.shape == (8, 27, 27)
+    assert core.current_ops.shape == (8, n_terms, 27, 27)
+    sizes = [len(index) for index in core.index]
     # per sector of size n: its indices, w, V and one current generator
     # per terminal, each n x n
     assert sum(b.nbytes for b in buffers.values()) == \

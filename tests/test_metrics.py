@@ -281,15 +281,6 @@ def test_an_error_inside_the_stencil_call_marks_every_point(monkeypatch):
         assert not point.alphas and not point.currents
 
 
-def test_sweep_worker_count_does_not_change_results(temperature_sweep):
-    cfg = ModelConfig.default()
-    parallel = sweep(cfg, "T_M", [5.0, 7.5, 10.0], t=1.0, workers=3)
-    for p, q in zip(temperature_sweep.values, parallel.values):
-        assert p.currents == q.currents
-        assert p.derivatives == q.derivatives
-        assert all(p.alphas[x].alpha == q.alphas[x].alpha for x in p.alphas)
-
-
 def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-window evolution was called")

@@ -1,5 +1,6 @@
-"""Every command line in the README parses with the real parser, and every
-Python example imports and calls the real API."""
+"""Every command line in the README parses with the real parser, every
+config example validates, and every Python example imports and calls the
+real API."""
 
 import ast
 import inspect
@@ -8,7 +9,7 @@ import shlex
 from pathlib import Path
 
 from qtransistor import cli
-from qtransistor.config import ConfigError, parse_set_overrides
+from qtransistor.config import ConfigError, parse_config, parse_set_overrides
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,6 +35,14 @@ def test_readme_command_lines_parse():
         except ConfigError as exc:
             problems.append(f"{line!r}: {exc}")
     assert not problems, "\n".join(problems)
+
+
+def test_readme_ini_blocks_validate():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)  # a ConfigError lists every problem
 
 
 def _resolve(node, names):
