@@ -219,7 +219,10 @@ def _line_map(text: str) -> Dict[Tuple[str, Optional[str]], int]:
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # an inline comment needs whitespace before its ';' or '#'
+    parser = configparser.ConfigParser(
+        interpolation=None, strict=True,
+        inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # temperatures are case-sensitive (T_L vs T_l)
     try:
         parser.read_string(text)

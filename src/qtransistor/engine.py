@@ -41,10 +41,14 @@ rowsum((W_s K_X') o conj(W_s)), with W_s = V diag(conj(u_s)) and K_X' the
 generator in the sector eigenbasis.  T and c are linear in p, and bath
 temperatures enter only through p, so one core serves every temperature.
 A detached X has K_X = 0 exactly, and its current is an exact zero.
-``evolve`` (through ``Propagator``) and ``sample_currents`` share these
-helpers, each product taken per phase row and per config, so a config
-reads the same bits from either, alone or in a batch, at any subset of
-times.
+
+Every current takes one route.  ``_window_rows`` maps a sample to its
+window n and row s, the one place an edge is given to a side.  A
+``Propagator`` holds T and the functionals at the rows read for configs
+that share H_tot, and ``collision`` steps them all one window.
+``sample_currents`` starts each chain at |0...0> and ``evolve`` at the
+diagonal of its initial state.  Every product is taken per config, so a
+config reads the same bits alone or in a batch, at any subset of times.
 
 ``sample_states`` returns whole system states, coherences included, for
 the backflow search.  The window channel
@@ -199,38 +203,38 @@ def _functionals(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
     return _mix(joint.reshape(len(core.terminals), core.d_sys, -1), p)
 
 
-def _read(functionals: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Currents F . pi over the last axis, taken elementwise and summed,
-    so each value has the same bits whatever shape the batch has."""
-    return np.sum(functionals * pi[..., None, :], axis=-1)
-
-
 class Propagator:
-    """Population chain of one ModelConfig: its window map T and its
-    current functionals at every phase row of a window."""
+    """Population chain of a batch of configs that share one H_tot: each
+    config's window map T and its current functionals at the phase rows
+    ``rows`` of a window, row s at tau_s = s * sample_dt (row 0 is the
+    attach instant)."""
 
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        self.core = _core_for(config)
-        self.n_steps = config.samples_per_collision
+    def __init__(self, configs, rows):
+        configs = list(configs)
+        shared = _without_temperatures(configs[0])
+        if any(_without_temperatures(c) != shared for c in configs[1:]):
+            raise ValueError(
+                "the configs of one chain must differ only in bath "
+                "temperatures")
+        self.core = _core_for(shared)
         self.terminals = self.core.terminals
         # the fresh ancillas' populations; their state is diag(p)
-        p = _populations([config])
-        self.transfer = _transfer(self.core, config.dt_collision, p)[0]
-        # row s at tau_s = s * sample_dt; row 0 is the attach instant
-        self.functionals = np.stack([
-            _functionals(self.core, config.sample_dt * s, p)[0]
-            for s in range(self.n_steps + 1)])
+        p = _populations(configs)
+        self.transfer = _transfer(self.core, shared.dt_collision, p)
+        self.functionals = np.empty((len(p), len(rows), len(self.terminals),
+                                     self.core.d_sys))
+        for i, s in enumerate(rows):
+            self.functionals[:, i] = _functionals(
+                self.core, shared.sample_dt * s, p)
 
     def collision(self, pi: np.ndarray):
-        """Evolve one window from the system populations ``pi``.
-
-        Returns (pi_end, currents, attach_currents): the populations at
-        the window's end; the currents, shape (n_steps, n_terminals),
-        sampled at tau = sample_dt .. window; and the tau = 0 row.
-        """
-        cur = _read(self.functionals, pi)
-        return self.transfer @ pi, cur[1:], cur[0]
+        """One window from the populations ``pi``, shape (n_configs,
+        d_sys): the populations at its end, and its currents F . pi at
+        each of ``rows``, shape (n_configs, n_rows, n_terminals).  F . pi
+        is taken elementwise and summed, so each value has the same bits
+        whatever shape the batch has."""
+        return (self.transfer @ pi[..., None])[..., 0], \
+            np.sum(self.functionals * pi[:, None, None], axis=-1)
 
 
 @dataclass
@@ -303,35 +307,17 @@ def evolve(config: ModelConfig, t_max: float, *,
     "left" keeps the end-of-window currents, "right" the fresh-ancilla
     values (the reduced states agree from both sides).  Currents come
     from the population chain, which reads only the diagonal of
-    ``initial``.  Full system snapshots, from one ``sample_states`` call,
-    and every qubit's marginal are stored when ``store_states`` is set.
+    ``initial``: the ``sample_currents`` route, started there.  Full
+    system snapshots, from one ``sample_states`` call, and every qubit's
+    marginal are stored when ``store_states`` is set.
     """
-    if boundary not in BOUNDARY_SIDES:
-        raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
     n_col = _whole_windows(config, t_max)
-
-    prop = Propagator(config)
-    steps = prop.n_steps
-    n_samples = n_col * steps + 1
+    index = np.arange(n_col * config.samples_per_collision + 1)
+    window, row = _window_rows(index, config, boundary)
     pi = np.diagonal(_system_initial(config, initial)).real.copy()
-
-    currents = np.empty((n_samples, len(prop.terminals)))
-    times = config.sample_dt * np.arange(n_samples)
-    for k in range(n_col):
-        pi, block_cur, attach = prop.collision(pi)
-        lo = k * steps + 1
-        currents[lo:lo + steps] = block_cur
-        if k == 0:
-            currents[0] = attach
-        elif boundary == "right":
-            currents[lo - 1] = attach
-    if n_col == 0 or boundary == "right":
-        currents[-1] = _read(prop.functionals[0], pi)
-
-    if boundary == "left":
-        collision_index = (np.arange(n_samples) + steps - 1) // steps
-    else:
-        collision_index = np.arange(n_samples) // steps + 1
+    currents = _chain_currents([config], window, row, pi[None])[0]
+    # the collision that owns each sample; 0 before the first
+    collision_index = window + ((row > 0) | (boundary == "right"))
 
     sys_states = qubit_states = None
     if store_states:
@@ -341,22 +327,55 @@ def evolve(config: ModelConfig, t_max: float, *,
             for i, t in enumerate(config.system_terminals)}
 
     return Trajectory(
-        config=config, boundary=boundary, times=times,
+        config=config, boundary=boundary, times=config.sample_dt * index,
         currents={t: np.ascontiguousarray(currents[:, i])
-                  for i, t in enumerate(prop.terminals)},
+                  for i, t in enumerate(config.system_terminals)},
         collision_index=collision_index,
         system_states=sys_states, qubit_states=qubit_states)
 
 
 def _sample_index(times, dt: float) -> np.ndarray:
     """Sample-grid index of each of ``times``, which must lie on the grid."""
-    index = np.rint(np.asarray(times, dtype=float) / dt).astype(int)
-    for t, i in zip(times, index):
-        if i < 0 or abs(t - i * dt) > 1e-9:
-            raise ValueError(
-                f"t = {t} is not on the sample grid [0, inf) with "
-                f"spacing {dt}")
+    times = np.asarray(times, dtype=float)
+    index = np.rint(times / dt).astype(int)
+    off = np.flatnonzero((index < 0) | (np.abs(times - index * dt) > 1e-9))
+    if len(off):
+        raise ValueError(
+            f"t = {times[off[0]]} is not on the sample grid [0, inf) with "
+            f"spacing {dt}")
     return index
+
+
+def _window_rows(index: np.ndarray, config: ModelConfig, boundary: str):
+    """(window n, phase row s) of each sample index, by the edge rule:
+    "left" reads an edge at the end of the window before it, "right" at
+    the start of the window after it; t = 0 is row 0 of window 0 either
+    way."""
+    if boundary not in BOUNDARY_SIDES:
+        raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
+    steps = config.samples_per_collision
+    if boundary == "left":
+        window = np.maximum(index - 1, 0) // steps
+    else:
+        window = index // steps
+    return window, index - window * steps
+
+
+def _chain_currents(configs, window: np.ndarray, row: np.ndarray,
+                    pi: np.ndarray) -> np.ndarray:
+    """Currents at row ``row[i]`` of window ``window[i]`` for each config,
+    shape (len(configs), len(window), n_terminals), each chain started at
+    its populations in ``pi``.  One ``Propagator`` steps every config
+    window by window up to the last one read, at the distinct rows read.
+    """
+    rows, column = np.unique(row, return_inverse=True)
+    prop = Propagator(configs, rows)
+    cur = np.empty((len(pi), len(window), len(prop.terminals)))
+    for n in range(int(window.max(initial=-1)) + 1):
+        at = np.flatnonzero(window == n)
+        pi, read = prop.collision(pi)
+        cur[:, at] = read[:, column[at]]
+    return cur
 
 
 def _sector_unitaries(core: _Core, tau: float) -> np.ndarray:
@@ -516,52 +535,17 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
 
     Returns shape (len(configs), len(times), n_terminals), terminals in
     ``system_terminals`` order, with the values ``evolve`` reports at
-    those times for the same ``boundary``, bit for bit.  Each config's
-    populations are carried from window to window by its T, and only
-    the requested phase rows are evaluated (see the module docstring).
+    those times for the same ``boundary``, bit for bit.  Every chain
+    starts from |0...0>; see ``_chain_currents``.
     """
     configs = list(configs)
-    if boundary not in BOUNDARY_SIDES:
-        raise ValueError(f"boundary must be one of {BOUNDARY_SIDES}")
     if not configs:
         raise ValueError("sample_currents needs at least one config")
-    shared = _without_temperatures(configs[0])
-    if any(_without_temperatures(c) != shared for c in configs[1:]):
-        raise ValueError(
-            "sample_currents needs configs that differ only in bath "
-            "temperatures")
-    core = _core_for(shared)
-    dt, steps = shared.sample_dt, shared.samples_per_collision
-
-    # time -> (window n, phase row s) by evolve's edge rule: "left" reads
-    # an edge at the end of the window before it, "right" at the start of
-    # the window after it; t = 0 is row 0 of window 0 either way
-    index = _sample_index(times, dt)
-    if boundary == "left":
-        window = np.maximum(index - 1, 0) // steps
-    else:
-        window = index // steps
-    row = index - window * steps
-    p = _populations(configs)
-
-    # pi_n at each window read, carried through each config's T from the
-    # populations of |0...0>
-    windows, slot = np.unique(window, return_inverse=True)
-    pops = np.empty((len(configs), len(windows), core.d_sys))
-    for c, transfer in enumerate(_transfer(core, shared.dt_collision, p)):
-        pi, done = np.eye(core.d_sys)[0], 0
-        for i, n in enumerate(windows):
-            for _ in range(n - done):
-                pi = transfer @ pi
-            done = n
-            pops[c, i] = pi
-
-    cur = np.empty((len(configs), len(index), len(core.terminals)))
-    for s in np.flatnonzero(np.bincount(row)):
-        at = np.flatnonzero(row == s)
-        cur[:, at] = _read(_functionals(core, dt * s, p)[:, None],
-                           pops[:, slot[at]])
-    return cur
+    first = configs[0]
+    window, row = _window_rows(_sample_index(times, first.sample_dt),
+                               first, boundary)
+    pi = np.repeat(np.eye(2 ** first.n_qubits)[:1], len(configs), axis=0)
+    return _chain_currents(configs, window, row, pi)
 
 
 def local_heat_current(joint_state: np.ndarray, h_total: np.ndarray,

@@ -98,9 +98,15 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One record per grid point, and the terminals the sweep was asked
+    for: currents and derivatives of ``current_terminals``, alpha of
+    ``alpha_terminals``, whether or not any point succeeded."""
+
     axis: str
     grid: np.ndarray
     values: List[SweepPoint]
+    current_terminals: Tuple[str, ...] = ()
+    alpha_terminals: Tuple[str, ...] = ()
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -335,7 +341,8 @@ def sweep(
         # one stencil covers every requested time
         points = _points([config], grid, grid, terminals, divergence_tol,
                          boundary)
-        return SweepResult(axis=axis, grid=grid, values=points)
+        return SweepResult(axis, grid, points, config.system_terminals,
+                           terminals)
 
     if t is None:
         raise ValueError(f"axis {axis!r} needs an evaluation time t")
@@ -361,4 +368,4 @@ def sweep(
             done = [_failed(grid[i], exc) for i in batch]
         for i, point in zip(batch, done):
             points[i] = point
-    return SweepResult(axis=axis, grid=grid, values=points)
+    return SweepResult(axis, grid, points, config.system_terminals, terminals)

@@ -64,12 +64,13 @@ def sweep_table(result: metrics.SweepResult, stem: str,
                 modulating: str = "M") -> Table:
     """Full per-point table for one sweep: currents, derivatives, alphas.
 
-    The temperature axis and the derivative columns are named after the
-    ``modulating`` terminal (``L`` on the two-qubit device).
+    The columns are the terminals the sweep was asked for, so a sweep
+    whose every point failed keeps them.  The temperature axis and the
+    derivative columns are named after the ``modulating`` terminal (``L``
+    on the two-qubit device).
     """
-    first = next((p for p in result.values if not p.error), None)
-    current_terms = list(first.currents) if first else []
-    alpha_terms = list(first.alphas) if first else []
+    current_terms = list(result.current_terminals)
+    alpha_terms = list(result.alpha_terminals)
     axis = f"T_{modulating}" if result.axis == "T_M" else result.axis
     columns = [(axis, AXIS_UNITS[result.axis])]
     columns += [(f"J_{x}", U_CURRENT) for x in current_terms]

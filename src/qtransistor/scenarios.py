@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics, nonmarkov
 from .model import ModelConfig
-from .output import (Table, U_CURRENT, U_DERIV, U_NONE, U_TEMP, U_TIME)
+from .output import AXIS_UNITS, U_NONE, U_TIME, Table, sweep_table
 
 __all__ = [
     "Scenario",
@@ -91,12 +91,12 @@ def _alpha_value(point: metrics.SweepPoint, terminal: str) -> float:
 
 def _sweep_table(
     stem: str,
-    axis_col: Tuple[str, str],
     sweeps: List[Tuple[str, metrics.SweepResult, str]],
 ) -> Table:
     """Merge sweeps sharing one grid into a column-per-curve table."""
-    grid = sweeps[0][1].grid
-    columns = [axis_col] + [(label, U_NONE) for label, _, _ in sweeps]
+    axis, grid = sweeps[0][1].axis, sweeps[0][1].grid
+    columns = [(axis, AXIS_UNITS[axis])]
+    columns += [(label, U_NONE) for label, _, _ in sweeps]
     rows, errors = [], []
     for i, v in enumerate(grid):
         row = [float(v)]
@@ -115,21 +115,9 @@ def _fig2(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     cfg = _make_config(model)
     t = float(run.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
-    res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
-    terms, mod = cfg.system_terminals, cfg.modulating_terminal
-    columns = [(f"T_{mod}", U_TEMP)]
-    columns += [(f"J_{x}", U_CURRENT) for x in terms]
-    columns += [(f"dJ{x}_dT{mod}", U_DERIV) for x in terms]
-    rows, errors = [], []
-    for p in res.values:
-        if p.error:
-            rows.append([p.value] + [math.nan] * (2 * len(terms)))
-            errors.append(p.error)
-        else:
-            rows.append([p.value] + [p.currents[x] for x in terms]
-                        + [p.derivatives[x] for x in terms])
-            errors.append("")
-    return [Table("fig2", columns, rows, errors)]
+    res = metrics.sweep(cfg, "T_M", grid, terminals=(), t=t,
+                        boundary=ctx.boundary)
+    return [sweep_table(res, "fig2", cfg.modulating_terminal)]
 
 
 def _fig3(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -140,7 +128,7 @@ def _fig3(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
         cfg = _make_config(model, g=g)
         res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
         sweeps.append((f"alpha_L[g={g}]", res, "L"))
-    return [_sweep_table("fig3", ("T_M", U_TEMP), sweeps)]
+    return [_sweep_table("fig3", sweeps)]
 
 
 def _fig4(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -149,7 +137,7 @@ def _fig4(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     grid = _time_grid(cfg, t_max)
     res = metrics.sweep(cfg, "t", grid, boundary=ctx.boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
-    return [_sweep_table("fig4", ("t", U_TIME), sweeps)]
+    return [_sweep_table("fig4", sweeps)]
 
 
 def _fig5(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -158,7 +146,7 @@ def _fig5(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
     res = metrics.sweep(cfg, "g", grid, t=t, boundary=ctx.boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
-    return [_sweep_table("fig5", ("g", "1/" + U_TIME), sweeps)]
+    return [_sweep_table("fig5", sweeps)]
 
 
 def _detached_configs(model: Dict) -> Dict[str, ModelConfig]:
@@ -179,7 +167,7 @@ def _fig6(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
                             boundary=ctx.boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
-    return [_sweep_table("fig6", ("t", U_TIME), sweeps)]
+    return [_sweep_table("fig6", sweeps)]
 
 
 def _fig7(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -191,7 +179,7 @@ def _fig7(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
                             boundary=ctx.boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
-    return [_sweep_table("fig7", ("g", "1/" + U_TIME), sweeps)]
+    return [_sweep_table("fig7", sweeps)]
 
 
 def _fig8(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -210,8 +198,8 @@ def _fig8(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
         time_sweeps.append((f"alpha_L[{preset}]", res_t, "L"))
         time_sweeps.append((f"alpha_R[{preset}]", res_t, "R"))
     return [
-        _sweep_table("fig8_temperature", ("T_M", U_TEMP), temp_sweeps),
-        _sweep_table("fig8_time", ("t", U_TIME), time_sweeps),
+        _sweep_table("fig8_temperature", temp_sweeps),
+        _sweep_table("fig8_time", time_sweeps),
     ]
 
 
@@ -239,7 +227,7 @@ def _fig9(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
         cfg = _nonlinear_config(model, eps)
         res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
         sweeps.append((_eps_label(eps), res, "L"))
-    return [_sweep_table("fig9", ("T_M", U_TEMP), sweeps)]
+    return [_sweep_table("fig9", sweeps)]
 
 
 def _fig10(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -250,7 +238,7 @@ def _fig10(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
         res = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
                             boundary=ctx.boundary)
         sweeps.append((_eps_label(eps), res, "L"))
-    return [_sweep_table("fig10", ("t", U_TIME), sweeps)]
+    return [_sweep_table("fig10", sweeps)]
 
 
 def _fig11(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
@@ -264,8 +252,7 @@ def _fig11(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
                                     allow_preset=False)
             res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
             sweeps.append((_eps_label(eps), res, "L"))
-        tables.append(_sweep_table(f"fig11_{preset}", ("T_M", U_TEMP),
-                                   sweeps))
+        tables.append(_sweep_table(f"fig11_{preset}", sweeps))
     return tables
 
 
@@ -300,8 +287,8 @@ def _fig13(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
                           boundary=ctx.boundary)
     temp_sweeps = [("alpha_L", res_T, "L"), ("alpha_R", res_T, "R")]
     return [
-        _sweep_table("fig13_time", ("t", U_TIME), time_sweeps),
-        _sweep_table("fig13_temperature", ("T_M", U_TEMP), temp_sweeps),
+        _sweep_table("fig13_time", time_sweeps),
+        _sweep_table("fig13_temperature", temp_sweeps),
     ]
 
 
@@ -312,22 +299,9 @@ def _appendixA(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     grid = np.round(np.arange(0.2, 4.0 + 1e-9, 0.05), 10)
     res = metrics.sweep(cfg, "T_M", grid, terminals=("R",), t=t,
                         boundary=ctx.boundary)
-    columns = [("T_L", U_TEMP), ("J_L", U_CURRENT), ("J_R", U_CURRENT),
-               ("dJL_dTL", U_DERIV), ("dJR_dTL", U_DERIV),
-               ("alpha", U_NONE)]
-    rows, errors = [], []
-    for p in res.values:
-        if p.error:
-            rows.append([p.value] + [math.nan] * 5)
-            errors.append(p.error)
-        else:
-            rows.append([
-                p.value, p.currents["L"], p.currents["R"],
-                p.derivatives["L"], p.derivatives["R"],
-                p.alphas["R"].alpha,
-            ])
-            errors.append("")
-    return [Table("appendixA", columns, rows, errors)]
+    table = sweep_table(res, "appendixA", cfg.modulating_terminal)
+    table.columns[-1] = ("alpha", U_NONE)  # the device has one alpha
+    return [table]
 
 
 SCENARIOS: Dict[str, Scenario] = {

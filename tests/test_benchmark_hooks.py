@@ -50,3 +50,31 @@ def test_engine_spans_follow_the_window_loop_of_evolve(monkeypatch):
     assert names == ["engine.evolve", "engine.Propagator"] + \
         ["engine.collision"] * windows
     assert all(span[3] == 0 for span in tracer.spans[1:])  # inside evolve
+
+
+def test_a_temperature_sweep_steps_one_propagator_per_window(monkeypatch):
+    # every point of a T_M sweep shares H_tot, so the sweep builds one
+    # Propagator for all of them and steps it once per window up to the
+    # window it reads: t = 1 is the end of the second window
+    from qtransistor import engine, metrics
+    from qtransistor.model import ModelConfig
+
+    child = _load_child()
+    tracer = child.Tracer()
+    owners = {"metrics.sweep": metrics, "engine.Propagator": engine,
+              "engine.collision": engine}
+    for name, module in owners.items():
+        for path in child.LAYERS[name]:
+            _, *attrs = path.split(".")
+            owner = module
+            for attr in attrs[:-1]:
+                owner = getattr(owner, attr)
+            monkeypatch.setattr(owner, attrs[-1],
+                                tracer.span(name)(getattr(owner, attrs[-1])))
+    cfg = ModelConfig.default()
+    metrics.sweep(cfg, "T_M", [4.0, 6.0, 8.0, 10.0], t=1.0)
+    names = [span[0] for span in tracer.spans]
+    windows = round(1.0 / cfg.dt_collision)
+    assert names == ["metrics.sweep", "engine.Propagator"] + \
+        ["engine.collision"] * windows
+    assert all(span[3] == 0 for span in tracer.spans[1:])  # inside sweep

@@ -147,6 +147,22 @@ def test_problems_sorted_by_line_number():
     assert "exactly one of" in msgs[-1]  # document-level issue comes last
 
 
+def test_inline_comments_are_not_part_of_values():
+    rc = parse_config(doc("""
+        [run]
+        scenario = fig2
+        out = results/demo   ; scratch
+        [model]
+        g = 4.0 ; strong
+        T_M = 9.0  # hot
+        """))
+    assert rc.out_dir == "results/demo"
+    assert rc.overrides["g"] == 4.0 and rc.overrides["T_M"] == 9.0
+    # a ';' or '#' inside a value, with no space before it, is kept
+    assert parse_config("[run]\nscenario = fig2\nout = a;b#c\n").out_dir \
+        == "a;b#c"
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("[model]\ng = 4\ng = 5\n")
@@ -620,6 +636,26 @@ def test_partial_failure_keeps_tables_and_returns_one(tmp_path, capsys):
     assert lines[2].endswith(",")  # second point clean
     data = json.loads((out / MANIFEST_NAME).read_text())
     assert data["status"] == "partial" and data["failed_points"] == 1
+
+
+def test_a_sweep_whose_every_point_failed_keeps_its_columns(tmp_path):
+    # the columns are the terminals asked for, not those of a clean point
+    headers = []
+    for stop, step in ((0.08, 0.03), (5.0, 4.95)):  # all failed, one clean
+        cfg = tmp_path / f"stop{stop}.ini"
+        cfg.write_text(SWEEP_DOC.replace("start = 5.0", "start = 0.05")
+                       .replace("stop = 6.0", f"stop = {stop}")
+                       .replace("step = 0.5", f"step = {step}"),
+                       encoding="utf-8")
+        out = tmp_path / f"stop{stop}"
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_PARTIAL
+        lines = (out / "sweep_T_M.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert "physical domain" in lines[1]
+        headers.append(lines[0])
+    assert headers[0] == headers[1]
+    assert len(headers[0].split(",")) == 1 + 3 + 3 + 2 + 1  # + error
 
 
 def test_run_scenario_from_flags(tmp_path):

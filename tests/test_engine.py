@@ -70,17 +70,19 @@ def test_first_collision_changes_the_state():
 
 def test_step_collision_matches_evolve():
     cfg = coarse()
-    prop = Propagator(cfg)
-    pi, cur1, attach = prop.collision(np.diagonal(initial_state(3)).real)
-    pi, cur2, _ = prop.collision(pi)
+    steps = cfg.samples_per_collision
+    prop = Propagator([cfg], np.arange(steps + 1))
+    pi, cur1 = prop.collision(np.diagonal(initial_state(3)).real[None])
+    pi, cur2 = prop.collision(pi)
 
     traj = evolve(cfg, 1.0, store_states=True)
-    stitched = np.concatenate([cur1, cur2])
+    # rows 1..steps of each window; row 0 of the first is the attach
+    stitched = np.concatenate([cur1[0, 1:], cur2[0, 1:]])
     for i, x in enumerate(("L", "M", "R")):
         assert np.allclose(stitched[:, i], traj.currents[x][1:], atol=1e-12)
-        assert attach[i] == pytest.approx(traj.currents[x][0], abs=1e-12)
+        assert cur1[0, 0, i] == pytest.approx(traj.currents[x][0], abs=1e-12)
     # the population step against the diagonal of the channel's state
-    assert np.max(np.abs(pi - np.diagonal(traj.system_states[-1]))) < 1e-12
+    assert np.max(np.abs(pi[0] - np.diagonal(traj.system_states[-1]))) < 1e-12
 
 
 def test_evolve_against_brute_force_unitary():
@@ -309,7 +311,7 @@ def test_cores_shared_exactly_across_temperatures_and_grids(
             kind="qubit" if cfg.env.kind != "qubit" else "qutrit-linear")
     elif changed == "attach_R":
         other = other.replace(attach_R=not cfg.env.attach_R)
-    same = Propagator(cfg).core is Propagator(other).core
+    same = Propagator([cfg], [0]).core is Propagator([other], [0]).core
     assert same == (changed is None)
 
 
@@ -360,13 +362,12 @@ def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
 def test_transfer_is_nonnegative_and_column_stochastic(name):
     cfg = CHANNEL_MODELS[name]
-    for t_scale in (0.3, 1.0, 5.0):
-        hot = cfg.replace(T_L=4.0 * t_scale, T_M=10.0 * t_scale,
-                          T_R=7.0 * t_scale)
-        transfer = Propagator(hot).transfer
-        assert transfer.shape == (2 ** cfg.n_qubits,) * 2
-        assert transfer.min() >= 0.0
-        assert np.max(np.abs(transfer.sum(axis=0) - 1.0)) < 1e-14
+    hot = [cfg.replace(T_L=4.0 * t_scale, T_M=10.0 * t_scale,
+                       T_R=7.0 * t_scale) for t_scale in (0.3, 1.0, 5.0)]
+    transfer = Propagator(hot, [0]).transfer  # one T per config
+    assert transfer.shape == (len(hot),) + (2 ** cfg.n_qubits,) * 2
+    assert transfer.min() >= 0.0
+    assert np.max(np.abs(transfer.sum(axis=1) - 1.0)) < 1e-14
 
 
 @settings(max_examples=15, deadline=None)
@@ -566,7 +567,7 @@ def test_fresh_ancilla_product_is_exactly_diagonal(kind):
 
 
 def test_core_keeps_its_spectral_data_per_parity_sector():
-    core = Propagator(ModelConfig.default()).core
+    core = Propagator([ModelConfig.default()], [0]).core
 
     def root(a):
         while a.base is not None:

@@ -285,15 +285,26 @@ def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-window evolution was called")
 
+    functionals, taus = engine._functionals, []
+
+    def counted(core, tau, p):
+        taus.append(tau)
+        return functionals(core, tau, p)
+
     monkeypatch.setattr(engine, "evolve", refuse)
-    monkeypatch.setattr(engine.Propagator, "collision", refuse)
-    cfg = coarse()
-    results = [sweep(cfg, "T_M", [5.0, 7.5], t=1.0),
-               sweep(cfg, "g", [3.5, 4.0], t=0.3),
-               sweep(cfg, "t", [0.1 * k for k in range(1, 16)]),
-               sweep(cfg, "t", [0.1 * k for k in range(6)])]
-    for result in results:
+    monkeypatch.setattr(engine, "_functionals", counted)
+    cfg = coarse()  # 5 phase rows per window
+    # each sweep with the number of distinct phase rows its chains read:
+    # t = 1 is row 5 of window 1; a g sweep runs one chain per point
+    cases = [(lambda: sweep(cfg, "T_M", [5.0, 7.5], t=1.0), 1),
+             (lambda: sweep(cfg, "g", [3.5, 4.0], t=0.3), 2),
+             (lambda: sweep(cfg, "t", [0.1 * k for k in range(1, 16)]), 5),
+             (lambda: sweep(cfg, "t", [0.1 * k for k in range(6)]), 6)]
+    for run, rows in cases:
+        taus.clear()
+        result = run()
         assert all(p.error is None and p.alphas for p in result.values)
+        assert len(taus) == rows
 
 
 def test_sweep_records_per_point_failures():
