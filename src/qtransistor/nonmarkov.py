@@ -10,18 +10,23 @@ information backflow.  The measure computed here accumulates those increases,
 
 maximized over pure initial pairs.  For a qubit the optimal pairs are
 orthogonal, that is antipodal on the Bloch sphere (Wissmann et al., PRA 86,
-062108 (2012)), so the one search scores antipodal pairs (theta, phi) on a
-grid and refines the best by coordinate descent.
+062108 (2012)), so the one search scores antipodal pairs (theta, phi): a
+global scan, then a short local polish.
 
 Evaluation trick: the reduced dynamics is linear in the input Bloch vector,
 so four basis evolutions (|0>, |1>, |+>, |+i>) determine the marginal of any
 initial state, and the squared trace distance of a pair whose Bloch vectors
 differ by delta is a quadratic form delta^T Q(t) delta with a real
-symmetric 3 x 3 Q(t) per sample time.  Six real series then score any pair
-with a few elementwise products, with no complex arithmetic.  The grid is
-scored in one call, and the coordinate descents of all cutoffs run in
-lockstep: every move scores each cutoff still refining in one call, while
-each cutoff follows its own descent.  Every marginal is taken from the
+symmetric 3 x 3 Q(t) per sample time.  Any set of directions is then scored
+by one real product, their monomials [x^2, y^2, z^2, 2xy, 2xz, 2yz] times
+the six distinct series of Q, with no complex arithmetic.  The scan scores
+the pole, a few coarse rows in theta over the whole turn in phi, and the
+equator sampled finely over phi in [0, pi), in one such product; each
+cutoff reads the backflow up to its own sample and takes its best scan
+point.  The polish scores shrinking 5 x 5 patches in (theta, phi) around
+every cutoff's point, all cutoffs in one product per patch.  Every cutoff
+is last scored at the optimum of each earlier cutoff too, which makes N
+non-decreasing along the cutoffs.  Every marginal is taken from the
 system states of ``engine.sample_states``; the probes of several terminals
 share one call.  A probe state probe (x) |0...0> occupies at most two
 difference blocks rho[a, a ^ delta] of the system state, the populations
@@ -89,9 +94,19 @@ class BlochState:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    grid_theta: int = 24
-    grid_phi: int = 48
-    refine_tol: float = 1e-3
+    """Settings of the antipodal search (``_antipodal_search``).
+
+    ``grid_theta`` rows in theta run from the pole to the equator, both
+    included, 90 / (grid_theta - 1) degrees apart; each row strictly
+    between them holds ``grid_phi`` points over the whole turn in phi.  The
+    equator is always scanned at ``_EQUATOR_SAMPLES`` points over the half
+    turn.  ``refine_tol`` is the patch spacing in theta and phi, in
+    radians, at which the polish of a cutoff may end.
+    """
+
+    grid_theta: int = 7
+    grid_phi: int = 24
+    refine_tol: float = 1e-4
 
     def __post_init__(self):
         if self.grid_theta < 2 or self.grid_phi < 2:
@@ -195,12 +210,27 @@ class _ReducedMap:
     def pair_distance(self, delta_r: np.ndarray) -> np.ndarray:
         """Trace-distance series for pairs with Bloch differences
         ``delta_r`` of shape (..., 3); returns shape (..., n_times)."""
-        x, y, z = np.moveaxis(np.asarray(delta_r, dtype=float), -1, 0)
-        x, y, z = x[..., None], y[..., None], z[..., None]
-        q = self.q
-        d2 = x * x * q[0, 0] + y * y * q[1, 1] + z * z * q[2, 2] \
-            + 2.0 * (x * y * q[0, 1] + x * z * q[0, 2] + y * z * q[1, 2])
-        return np.sqrt(np.maximum(d2, 0.0))
+        return _quadratic_distance(self.q, delta_r)
+
+
+# the six distinct entries of a symmetric 3 x 3 Q, matching _monomials
+_Q_ROWS, _Q_COLS = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+
+
+def _monomials(v: np.ndarray) -> np.ndarray:
+    """[x^2, y^2, z^2, 2xy, 2xz, 2yz] of vectors ``v`` (..., 3), so that
+    v^T Q v is their product with the six distinct entries of Q."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return np.stack([x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z,
+                     2.0 * y * z], axis=-1)
+
+
+def _quadratic_distance(q: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
+    """sqrt(delta^T Q(t) delta) for ``delta_r`` (..., 3) and ``q``
+    (3, 3, n_times), shape (..., n_times): one product of the monomials
+    with the six distinct series of Q."""
+    d2 = _monomials(delta_r) @ q[_Q_ROWS, _Q_COLS]
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
 def distance_series(
@@ -239,66 +269,100 @@ def _cumulative_positive(series: np.ndarray) -> np.ndarray:
     return np.concatenate([zero, np.cumsum(d, axis=-1)], axis=-1)
 
 
-def _antipodal_backflow(rmap: _ReducedMap, theta: np.ndarray,
+def _antipodal_distance(q: np.ndarray, theta: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
-    """Backflow accumulated up to each sample for the antipodal pairs at
-    Bloch angles ``theta``, ``phi`` (arrays of one shape), shape
-    (..., n_times)."""
+    """Trace-distance series of the antipodal pairs at Bloch angles
+    ``theta``, ``phi`` (arrays of one shape) of the map with quadratic form
+    ``q``, shape (..., n_times)."""
     st = np.sin(theta)
-    delta = 2.0 * np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-    return _cumulative_positive(rmap.pair_distance(delta))
+    return _quadratic_distance(q, 2.0 * np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1))
 
 
-# coordinate-descent moves in units of the (theta, phi) steps, in order
-_MOVES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+# phi samples of the equator scan, over the half turn [0, pi) since phi and
+# phi + pi are the two members of one pair there; at 180 samples the scan
+# picks a wrong phi basin on some preset maps (N low by up to 1.2e-6)
+_EQUATOR_SAMPLES = 360
+# a polish patch in units of its (theta, phi) spacing, centre first so that
+# a patch moves its cutoff only on a strict gain
+_PATCH = np.array([(0, 0)] + [(a, b) for a in range(-2, 3)
+                               for b in range(-2, 3) if a or b], dtype=float)
+_SHRINK = 4.0
+
+
+def _scan_directions(
+        search: SearchConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan (theta, phi) in scan order, and the (theta, phi) spacing of a
+    first polish patch from each: half the row spacing, and half the phi
+    spacing of the point's row.  The scan holds the pole, the
+    ``grid_theta`` - 2 rows between it and the equator with ``grid_phi``
+    samples over the whole turn, and the equator's ``_EQUATOR_SAMPLES``;
+    every antipodal pair has a member on this closed upper hemisphere."""
+    rows = np.linspace(0.0, math.pi / 2, search.grid_theta)[1:-1]
+    ring = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
+    equator = np.linspace(0.0, math.pi, _EQUATOR_SAMPLES, endpoint=False)
+    theta = np.concatenate([[0.0], np.repeat(rows, len(ring)),
+                            np.full(len(equator), math.pi / 2)])
+    phi = np.concatenate([[0.0], np.tile(ring, len(rows)), equator])
+    half_row = math.pi / 4 / (search.grid_theta - 1)
+    spacing = np.empty((len(theta), 2))
+    spacing[:-len(equator)] = (half_row, ring[1] / 2)
+    spacing[-len(equator):] = (half_row, equator[1] / 2)
+    return theta, phi, spacing
 
 
 def _antipodal_search(
     rmap: _ReducedMap, cut: Sequence[int], search: SearchConfig
 ) -> List[Tuple[float, Tuple[float, float]]]:
     """Best antipodal pair for the backflow up to each sample index in
-    ``cut``, as (value, (theta, phi)).
+    ``cut`` (ascending), as (value, (theta, phi)).
 
-    The whole theta x phi grid is scored at once; the first maximum (the
-    lowest theta, then the lowest phi) starts a coordinate descent per
-    cutoff.  Each sweep tries the moves of ``_MOVES`` in turn, keeping one
-    that gains more than 1e-15, and a sweep without a gain halves both
-    steps; a cutoff is done once both steps are within ``refine_tol``.
-    The descents run in lockstep, every unfinished cutoff scored in one
-    call per move.
+    A scan scores every direction of ``_scan_directions`` in one product
+    with the six series of ``rmap.q``, each cutoff reading the backflow up
+    to its own sample, and each cutoff starts from its first best scan
+    point.  A polish then scores 5 x 5 patches around every cutoff's point,
+    all cutoffs in one call per patch, and moves the point to the patch's
+    best (the centre on ties).  A best point inside the patch shrinks the
+    next patch 4x; one on its edge moves the patch at the same spacing.  A
+    cutoff is done after a patch at most ``refine_tol`` apart in theta and
+    phi whose best point lies inside it.  Last, every cutoff is scored at
+    the optimum of each cutoff up to it and keeps the best, its own on
+    ties: a pair's backflow never falls as its cutoff grows, so N is
+    non-decreasing along ``cut``.
     """
     cut = np.asarray(cut)
-    thetas = np.linspace(0.0, math.pi, search.grid_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, search.grid_phi, endpoint=False)
-    grid = _antipodal_backflow(
-        rmap, *np.meshgrid(thetas, phis, indexing="ij"))[..., cut]
-    first = np.argmax(grid.reshape(-1, len(cut)), axis=0)
-    theta = thetas[first // len(phis)]
-    phi = phis[first % len(phis)]
-    step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]]) / 2.0
-    scale = np.ones(len(cut))  # halvings so far, as 2**-k
+    q = rmap.q
+    theta, phi, spacing = _scan_directions(search)
+    first = np.argmax(
+        _cumulative_positive(_antipodal_distance(q, theta, phi))[:, cut],
+        axis=0)
+    theta, phi, spacing = theta[first], phi[first], spacing[first]
 
-    def score(k: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-        return _antipodal_backflow(rmap, th, ph)[np.arange(len(k)), cut[k]]
+    # a patch reads each cutoff's own backflow as one weighted sum
+    upto = (np.arange(q.shape[-1] - 1) < cut[:, None]).astype(float)
+    todo = np.arange(len(cut))
+    while todo.size:
+        th = np.clip(theta[todo, None] + spacing[todo, :1] * _PATCH[:, 0],
+                     0.0, math.pi)
+        ph = phi[todo, None] + spacing[todo, 1:] * _PATCH[:, 1]
+        rise = np.maximum(np.diff(_antipodal_distance(q, th, ph)), 0.0)
+        val = rise @ upto[todo, :, None]
+        pick = np.argmax(val[..., 0], axis=1)
+        theta[todo] = th[np.arange(todo.size), pick]
+        phi[todo] = ph[np.arange(todo.size), pick] % (2.0 * math.pi)
+        inside = np.abs(_PATCH[pick]).max(axis=1) < 2
+        done = inside & (spacing[todo].max(axis=1) <= search.refine_tol)
+        spacing[todo[inside]] /= _SHRINK
+        todo = todo[~done]
 
-    best = score(np.arange(len(cut)), theta, phi)
-    while True:
-        k = np.flatnonzero(step.max() * scale > search.refine_tol)
-        if not k.size:
-            break
-        improved = np.zeros(k.size, dtype=bool)
-        for move_t, move_p in _MOVES:
-            th = np.minimum(np.maximum(
-                theta[k] + move_t * step[0] * scale[k], 0.0), math.pi)
-            ph = (phi[k] + move_p * step[1] * scale[k]) % (2.0 * math.pi)
-            val = score(k, th, ph)
-            up = val > best[k] + 1e-15
-            theta[k[up]], phi[k[up]], best[k[up]] = th[up], ph[up], val[up]
-            improved |= up
-        scale[k[~improved]] *= 0.5
-    return [(float(v), (float(th), float(ph)))
-            for v, th, ph in zip(best, theta, phi)]
+    # values[j, k]: cutoff k at cutoff j's optimum, for j <= k; the argmax
+    # over reversed rows takes a cutoff's own optimum on ties
+    values = _cumulative_positive(
+        _antipodal_distance(q, theta[:, None], phi[:, None]))[:, 0, cut]
+    values[np.tril_indices(len(cut), -1)] = -np.inf
+    pick = len(cut) - 1 - np.argmax(values[::-1], axis=0)
+    return [(float(values[j, k]), (float(theta[j]), float(phi[j])))
+            for k, j in enumerate(pick)]
 
 
 def blp_measure(
@@ -309,10 +373,12 @@ def blp_measure(
 ) -> BLPResult:
     """Maximal accumulated trace-distance backflow for one probe qubit.
 
-    Grid search over antipodal pure pairs with coordinate-descent refinement;
-    ties break toward the lowest theta, then the lowest phi.  The winning
-    pair is re-simulated directly and the reported value, series, and growth
-    windows come from that independent evaluation.
+    Scan-and-polish search over antipodal pure pairs
+    (``_antipodal_search``); ties break toward the first scan direction
+    (the pole, then the rows by rising theta and phi, then the equator by
+    rising phi), and a polish patch moves only on a strict gain.  The
+    winning pair is re-simulated directly and the reported value, series,
+    and growth windows come from that independent evaluation.
     """
     rmap = _ReducedMap(config, terminal, t_max)
     [(_, best_ang)] = _antipodal_search(rmap, [len(rmap.times) - 1], search)

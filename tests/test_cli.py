@@ -707,7 +707,7 @@ def test_manifest_parameters_resolve_the_model():
     assert params["base_model"]["g"] == 3.5
     assert params["scenario"] == "fig2"
     assert params["overrides"] == {"g": 3.5, "t": 1.0}
-    assert params["blp_search"]["grid_theta"] == 24
+    assert params["blp_search"]["grid_theta"] == 7
     # exactly the [blp] keys: nothing the input cannot set
     assert set(params["blp_search"]) == {"grid_theta", "grid_phi",
                                          "refine_tol"}
