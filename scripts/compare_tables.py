@@ -3,10 +3,12 @@
     python scripts/compare_tables.py OLD_DIR NEW_DIR
 
 For every CSV under either directory (matched by relative path) it prints
-one line: "byte-identical", or each changed column with its largest
-absolute change |new - old| and its largest relative change |new - old| /
-|old| over the cells with |old| > 1e-3.  A NaN cell equals only a NaN
-cell; the ``error`` column is compared as text.  Exit status 1 when the
+"byte-identical", or each changed column with its largest absolute change
+|new - old| and its largest relative change |new - old| / |old| over the
+cells with |old| > 1e-3, and on a second line its direction: the signed
+change new - old of largest size, and how many cells rose and how many
+fell.  A NaN cell equals only a NaN cell; the
+``error`` column is compared as text.  Exit status 1 when the
 two directories hold different CSVs, or a CSV with different columns or
 row counts; 0 otherwise, whatever the values.
 """
@@ -39,13 +41,16 @@ def _column_change(old: list, new: list) -> str:
               if not (math.isnan(a) or math.isnan(b))]
     if not nan_mismatch and all(a == b for a, b in finite):
         return ""
-    abs_d = max((abs(b - a) for a, b in finite), default=0.0)
+    deltas = [b - a for a, b in finite]
+    extreme = max(deltas, key=abs, default=0.0)
     rel = [abs(b - a) / abs(a) for a, b in finite if abs(a) > REL_FLOOR]
-    text = f"max|d| = {abs_d:.3e}, max|d|/|old| = " + (
+    text = f"max|d| = {abs(extreme):.3e}, max|d|/|old| = " + (
         f"{max(rel):.3e}" if rel else f"n/a (no |old| > {REL_FLOOR:g})")
     if nan_mismatch:
         text += f", {nan_mismatch} NaN cells differ"
-    return text
+    rose, fell = sum(d > 0 for d in deltas), sum(d < 0 for d in deltas)
+    return (text + f"\n    direction: extreme new - old = {extreme:+.3e}, "
+            f"{rose} rose, {fell} fell")
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:

@@ -7,6 +7,25 @@ and trace-distance memory measures are computed from the exact joint
 dynamics.
 """
 
+import os
+import sys
+
+# Every product here is at most 216 wide, mostly a 27 x 27 parity-sector
+# block, where OpenBLAS helper threads only spin a second core.  OpenBLAS
+# reads OPENBLAS_NUM_THREADS once, when numpy loads, so it is set to 1
+# before the first import below that loads numpy, and only if numpy is not
+# loaded yet; an exported value wins.  Like any environment variable it
+# stays set for the rest of the process and its child processes.
+_numpy_loaded_first = "numpy" in sys.modules
+_found = os.environ.get("OPENBLAS_NUM_THREADS")
+if not _numpy_loaded_first:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# recorded in every manifest
+BLAS_THREADS = {
+    "found": {"OPENBLAS_NUM_THREADS": _found},
+    "numpy_loaded_first": _numpy_loaded_first,
+}
+
 __version__ = "1.0.0"
 
 from .engine import Trajectory, evolve

@@ -7,9 +7,9 @@ digits.  Fixed formatting makes repeated runs byte-identical, so the
 manifest can carry per-file checksums as a reproducibility contract.
 
 The manifest is a JSON sidecar recording the fully resolved parameters,
-the artifact version, per-file SHA-256 digests, and the wall-clock
-duration.  It is written after every CSV and thereby doubles as the
-completion marker of a run.
+the artifact version, per-file SHA-256 digests, the wall-clock duration,
+and the BLAS thread variable as the package found it at import.  It is
+written after every CSV and thereby doubles as the completion marker of a run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from . import __version__, metrics
+from . import BLAS_THREADS, __version__, metrics
 
 __all__ = [
     "U_TIME", "U_TEMP", "U_NONE", "U_CURRENT", "U_DERIV",
@@ -148,6 +148,7 @@ def write_manifest(
         "parameters": parameters,
         "duration_seconds": round(float(duration_seconds), 3),
         "failed_points": int(failed_points),
+        "blas_threads": BLAS_THREADS,
         "status": "partial" if failed_points else "complete",
         "files": {
             Path(p).name: {

@@ -442,16 +442,23 @@ def test_run_sweep_end_to_end(tmp_path, capsys):
     assert len(lines) == 4  # header + three grid points
 
 
+def fresh_python(args, **exported):
+    """stdout of a new interpreter run with ``args``, OPENBLAS_NUM_THREADS
+    unset and then ``exported`` added."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, *args], env={**env, **exported},
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    return done.stdout
+
+
 def test_temperature_sweep_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs about 15 ms to import in a fresh process
     def fresh(code):
-        src = str(Path(cli.__file__).resolve().parents[1])
         code += "; print('numpy.ma' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, check=True,
-                              timeout=120)
-        return done.stdout.split()[-1]
+        return fresh_python(["-c", code]).split()[-1]
 
     if fresh("import sys, numpy") == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
@@ -472,6 +479,48 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     sha = json.loads((out1 / MANIFEST_NAME).read_text())["files"]
     sha3 = json.loads((out3 / MANIFEST_NAME).read_text())["files"]
     assert sha == sha3
+
+
+def test_import_runs_blas_on_one_thread_unless_exported():
+    code = ("import json, os, qtransistor; print(json.dumps("
+            "[os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "qtransistor.BLAS_THREADS]))")
+    value, record = json.loads(fresh_python(["-c", code]))
+    assert value == "1"
+    assert record == {"found": {"OPENBLAS_NUM_THREADS": None},
+                      "numpy_loaded_first": False}
+    value, record = json.loads(
+        fresh_python(["-c", code], OPENBLAS_NUM_THREADS="2"))
+    assert value == "2"
+    assert record["found"] == {"OPENBLAS_NUM_THREADS": "2"}
+    # numpy first: BLAS has read its thread count, so nothing is set
+    value, record = json.loads(fresh_python(
+        ["-c", code.replace("import json,", "import numpy, json,")]))
+    assert value is None
+    assert record == {"found": {"OPENBLAS_NUM_THREADS": None},
+                      "numpy_loaded_first": True}
+
+
+def test_blas_thread_count_does_not_change_the_tables(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_DOC, encoding="utf-8")
+    runs = {"sweep": ["--config", str(cfg)],
+            "fig12": ["--scenario", "fig12", "--set", "t_max=0.5"]}
+    tables = {}
+    for threads in ("1", "2"):
+        for name, source in runs.items():
+            out = tmp_path / f"{name}_{threads}"
+            fresh_python(["-m", "qtransistor.cli", "run", *source,
+                          "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+            tables[name, threads] = {p.name: p.read_bytes()
+                                     for p in sorted(out.glob("*.csv"))}
+            blas = json.loads((out / MANIFEST_NAME).read_text())[
+                "blas_threads"]
+            assert blas["found"]["OPENBLAS_NUM_THREADS"] == threads
+            assert blas["numpy_loaded_first"] is False
+    assert len(tables["sweep", "1"]) == 1 and len(tables["fig12", "1"]) == 3
+    for name in runs:
+        assert tables[name, "1"] == tables[name, "2"]
 
 
 def test_set_t_beats_the_sweep_and_run_times(tmp_path):

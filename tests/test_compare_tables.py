@@ -48,3 +48,18 @@ def test_different_columns_or_files_exit_nonzero(tmp_path):
     write(new, "extra.csv", HEADER)
     code, out = run(old, new)
     assert code == 1 and "extra.csv: only in" in out
+
+
+def test_direction_gives_the_signed_extreme_and_the_cells_that_moved(
+        tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write(old, "b.csv", HEADER + "1.0e-01,2.0e+00,\n2.0e-01,1.0e+00,\n"
+          "3.0e-01,4.0e+00,\n4.0e-01,nan,\n")
+    write(new, "b.csv", HEADER + "1.0e-01,2.5e+00,\n2.0e-01,1.0e+00,\n"
+          "3.0e-01,3.0e+00,\n4.0e-01,nan,\n")
+    code, out = run(old, new)
+    assert code == 0
+    assert "  alpha_L(dimensionless): max|d| = 1.000e+00, " \
+        "max|d|/|old| = 2.500e-01\n" \
+        "    direction: extreme new - old = -1.000e+00, 1 rose, 1 fell\n" \
+        in out
