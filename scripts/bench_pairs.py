@@ -13,7 +13,12 @@ pairs the change wins by the metric's ``better`` direction (ties count
 for neither side), and whether the pairs show a gain: the change wins at
 least nine pairs in ten, and its median is better than the parent's by
 more than the parent's interquartile range.  Failed and attempted rows
-are summed per side.
+are summed per side.  The last line repeats the verdict as one JSON
+object, ``{W: block}``, where the block holds the pairs, seconds and
+first and last seed, each metric's direction, both sides' median and
+quartiles (6 significant digits), the change's wins and whether a gain
+was shown, and the failed/attempted rows per side: the layout of a
+workload in the ``BENCH_<n>.json`` records.
 
 The two checkouts must be alike in one respect the benchmark cannot see:
 a tree holding ``src/qtransistor/__pycache__`` skips compiling the
@@ -48,9 +53,14 @@ def _quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs: list, end_to_end: list) -> list:
-    """Verdict lines for ``pairs`` of (parent, change) result objects."""
-    lines = []
+def _sig(x: float) -> float:
+    return float(f"{x:.6g}")
+
+
+def verdict(pairs: list, end_to_end: list) -> dict:
+    """Per-metric verdict and failed/attempted rows for ``pairs`` of
+    (parent, change) result objects."""
+    metrics = {}
     for metric in end_to_end:
         name, better = metric["name"], metric["better"]
         sign = 1.0 if better == "higher" else -1.0
@@ -58,16 +68,36 @@ def summarize(pairs: list, end_to_end: list) -> list:
         new = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (q1, med, q3), (c1, cmed, c3) = _quartiles(old), _quartiles(new)
-        gain = 10 * wins >= 9 * len(pairs) and sign * (cmed - med) > q3 - q1
+        metrics[name] = {
+            "better": better,
+            "parent": {"median": _sig(med), "quartiles": [_sig(q1), _sig(q3)]},
+            "change": {"median": _sig(cmed),
+                       "quartiles": [_sig(c1), _sig(c3)]},
+            "change_wins": wins,
+            "gain_shown": bool(10 * wins >= 9 * len(pairs)
+                               and sign * (cmed - med) > q3 - q1),
+        }
+    failed_rows = {
+        label: f"{sum(pair[side]['failed'] for pair in pairs)}/"
+               f"{sum(pair[side]['attempted'] for pair in pairs)}"
+        for side, label in ((0, "parent"), (1, "change"))}
+    return {"metrics": metrics, "failed_rows": failed_rows}
+
+
+def summarize(pairs: list, end_to_end: list) -> list:
+    """Verdict lines for ``pairs`` of (parent, change) result objects."""
+    record = verdict(pairs, end_to_end)
+    lines = []
+    for name, m in record["metrics"].items():
+        (q1, q3), (c1, c3) = m["parent"]["quartiles"], m["change"]["quartiles"]
         lines.append(
-            f"{name} ({better} is better): parent {med:.6g} "
-            f"[{q1:.6g}, {q3:.6g}] -> change {cmed:.6g} [{c1:.6g}, "
-            f"{c3:.6g}]; change wins {wins}/{len(pairs)}; gain "
-            + ("shown" if gain else "not shown"))
-    for side, label in ((0, "parent"), (1, "change")):
-        failed = sum(pair[side]["failed"] for pair in pairs)
-        attempted = sum(pair[side]["attempted"] for pair in pairs)
-        lines.append(f"{label}: {failed}/{attempted} rows failed")
+            f"{name} ({m['better']} is better): parent "
+            f"{m['parent']['median']:.6g} [{q1:.6g}, {q3:.6g}] -> change "
+            f"{m['change']['median']:.6g} [{c1:.6g}, {c3:.6g}]; change wins "
+            f"{m['change_wins']}/{len(pairs)}; gain "
+            + ("shown" if m["gain_shown"] else "not shown"))
+    lines += [f"{label}: {rows} rows failed"
+              for label, rows in record["failed_rows"].items()]
     return lines
 
 
@@ -110,6 +140,10 @@ def main(argv=None) -> int:
               f"{('parent', 'change')[order[0]]} first: {values}",
               flush=True)
     print("\n".join(summarize(pairs, bench["end_to_end"])))
+    block = {"pairs": args.pairs, "seconds": args.seconds,
+             "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+             **verdict(pairs, bench["end_to_end"])}
+    print(json.dumps({args.workload: block}))
     return 0
 
 

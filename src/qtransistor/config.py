@@ -19,8 +19,8 @@ stencil step h = 0.05, sample spacing 0.01).
 ``--set key=value`` pairs (any [model] or [blp] key, plus ``t`` and
 ``t_max``) are merged over the document's values first, and every
 cross-field check (keys a [sweep] run would not read, the evaluation time,
-the epsilon-sweep kind, the combined model) then runs once, on the merged
-values.
+the epsilon-sweep kind, the combined model, sweep terminals that name the
+modulating one) then runs once, on the merged values.
 """
 
 from __future__ import annotations
@@ -363,9 +363,14 @@ def parse_config(text: str, sets: Sequence[str] = ()) -> RunConfig:
         search=SearchConfig(**{**values["blp"], **set_blp}),
     )
     try:
-        rc.resolved_model()  # combined-value validation (divisibility etc.)
+        model = rc.resolved_model()  # combined-value checks (divisibility)
     except (ValueError, TypeError) as exc:
         raise ConfigError([f"{at('model')}model rejected: {exc}"]) from None
+    mod = model.modulating_terminal
+    if sweep_spec is not None and mod in (sweep_spec.terminals or ()):
+        raise ConfigError(
+            [f"{at('sweep', 'terminals')}terminals names the modulating "
+             f"terminal {mod!r}, which has no alpha"])
     return rc
 
 

@@ -4,7 +4,7 @@ Everything here reduces trajectories to scalar diagnostics: heat-current
 derivatives with respect to the modulating bath temperature, the dynamical
 amplification factor alpha_X = (dJ_X/dT) / (dJ_mod/dT), the critical
 temperature where the modulating derivative vanishes, and one-axis parameter
-sweeps that bundle those quantities per grid point.
+sweeps that hold each of those quantities as one array over the grid.
 
 Derivatives use the five-point central stencil
 
@@ -16,9 +16,10 @@ five modulating temperatures share one H_tot, so one stencil is a single
 sweeps, across every requested time; only the requested samples are
 evaluated.  Every point of a T_M sweep shares that H_tot too, so the
 whole sweep is one call over 5 configs per point, and each point gets
-the values a call of its own would give.  An error raised inside that
-call is recorded on every point of the sweep; a point whose stencil
-leaves the physical domain is left out of the call and fails alone.
+the values a call of its own would give.  A sweep writes the stencil's
+arrays straight into its columns.  An error raised inside that call
+marks every point of the sweep with NaN and its message; a point whose
+stencil leaves the physical domain is left out of the call and fails alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .model import ModelConfig
 __all__ = [
     "DIVERGENCE_TOL",
     "AmplificationResult",
-    "SweepPoint",
     "SweepResult",
     "five_point_derivative",
     "current_at",
@@ -88,25 +88,23 @@ class AmplificationResult:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    currents: Dict[str, float]
-    derivatives: Dict[str, float]
-    alphas: Dict[str, AmplificationResult]
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """One record per grid point, and the terminals the sweep was asked
-    for: currents and derivatives of ``current_terminals``, alpha of
-    ``alpha_terminals``, whether or not any point succeeded."""
+    """One sweep as columns: one float array per quantity, one entry per
+    grid point.
+
+    ``currents`` and ``derivatives`` (dJ/dT_mod) map every system terminal,
+    ``alphas`` the terminals the sweep was asked for, whether or not any
+    point succeeded.  A failed point reads NaN in every column and its
+    message in ``errors``, which holds "" where the point computed; a
+    diverged alpha reads NaN with an empty error.
+    """
 
     axis: str
     grid: np.ndarray
-    values: List[SweepPoint]
-    current_terminals: Tuple[str, ...] = ()
-    alpha_terminals: Tuple[str, ...] = ()
+    currents: Dict[str, np.ndarray]
+    derivatives: Dict[str, np.ndarray]
+    alphas: Dict[str, np.ndarray]
+    errors: List[str]
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -114,7 +112,10 @@ class SweepResult:
             raise ValueError("sweep grid must be a nonempty 1-D array")
         if np.any(np.diff(g) <= 0):
             raise ValueError("sweep grid must be strictly ascending")
-        if len(self.values) != g.size:
+        columns = (*self.currents.values(), *self.derivatives.values(),
+                   *self.alphas.values())
+        if len(self.errors) != g.size or \
+                any(np.shape(c) != g.shape for c in columns):
             raise ValueError("one record per grid point required")
 
 
@@ -151,14 +152,11 @@ def _stencil(
     runs = runs.reshape(len(configs), len(_STENCIL_OFFSETS), len(times),
                         -1).transpose(1, 3, 0, 2)
     h = np.array([c.stencil_h for c in configs])[:, None]
-    center, acc = {}, {}
-    for k, w, run in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS, runs):
-        for x, series in zip(configs[0].system_terminals, run):
-            if k == 0.0:
-                center[x] = series
-            else:
-                acc[x] = acc.get(x, 0.0) + w * series
-    return center, {x: a / (12.0 * h) for x, a in acc.items()}
+    acc = sum(w * run for k, w, run in
+              zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS, runs) if k != 0.0)
+    terminals = configs[0].system_terminals
+    return (dict(zip(terminals, runs[_STENCIL_OFFSETS.index(0.0)])),
+            dict(zip(terminals, acc / (12.0 * h))))
 
 
 def current_at(
@@ -172,21 +170,11 @@ def current_at(
     return float(cur[0, 0, config.system_terminals.index(terminal)])
 
 
-def _alpha_from(
-    terminal: str,
-    t: float,
-    dJX: float,
-    dJM: float,
-    divergence_tol: float,
-) -> AmplificationResult:
-    if abs(dJM) < divergence_tol:
-        return AmplificationResult(
-            terminal=terminal, time=t, alpha=math.nan, dJX_dTM=dJX, dJM_dTM=dJM,
-            diverged=True,
-        )
-    return AmplificationResult(
-        terminal=terminal, time=t, alpha=dJX / dJM, dJX_dTM=dJX, dJM_dTM=dJM,
-    )
+def _alpha(dJX, dJM, divergence_tol: float) -> np.ndarray:
+    """dJX / dJM elementwise, NaN where |dJM| < divergence_tol or a NaN."""
+    dJX, dJM = np.asarray(dJX, dtype=float), np.asarray(dJM, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(dJM) < divergence_tol, np.nan, dJX / dJM)
 
 
 def amplification(
@@ -204,10 +192,9 @@ def amplification(
     if terminal == mod:
         raise ValueError(f"terminal {terminal!r} is the modulating one")
     _, deriv = _stencil([config], [t], boundary)
-    return _alpha_from(
-        terminal, t, float(deriv[terminal][0, 0]), float(deriv[mod][0, 0]),
-        divergence_tol,
-    )
+    dJX, dJM = float(deriv[terminal][0, 0]), float(deriv[mod][0, 0])
+    alpha = float(_alpha(dJX, dJM, divergence_tol))
+    return AmplificationResult(terminal, t, alpha, dJX, dJM, math.isnan(alpha))
 
 
 def find_critical_TM(
@@ -271,38 +258,6 @@ def _point_config(config: ModelConfig, axis: str, value: float) -> ModelConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def _points(
-    configs: Sequence[ModelConfig],
-    times: Sequence[float],
-    values: Sequence[float],
-    terminals: Sequence[str],
-    divergence_tol: float,
-    boundary: str,
-) -> List[SweepPoint]:
-    """One point per (config, time) pair, config-major, all from one
-    stencil; ``values`` holds the axis value of each pair."""
-    mod = configs[0].modulating_terminal
-    center, deriv = _stencil(configs, times, boundary)
-    points = []
-    pairs = np.ndindex(len(configs), len(times))
-    for (c, i), value in zip(pairs, values):
-        currents = {x: float(center[x][c, i]) for x in center}
-        derivatives = {x: float(deriv[x][c, i]) for x in deriv}
-        alphas = {
-            x: _alpha_from(x, float(times[i]), derivatives[x],
-                           derivatives[mod], divergence_tol)
-            for x in terminals
-        }
-        points.append(SweepPoint(value=float(value), currents=currents,
-                                 derivatives=derivatives, alphas=alphas))
-    return points
-
-
-def _failed(value: float, exc: Exception) -> SweepPoint:
-    return SweepPoint(value=float(value), currents={}, derivatives={},
-                      alphas={}, error=f"{type(exc).__name__}: {exc}")
-
-
 def sweep(
     config: ModelConfig,
     axis: str,
@@ -316,7 +271,8 @@ def sweep(
     """Amplification and currents along one parameter axis.
 
     ``axis`` is one of T_M / t / g / epsilon.  For every axis except ``t`` the
-    evaluation time ``t`` is required.  Grid points run in series.
+    evaluation time ``t`` is required.  ``terminals`` (default: all but the
+    modulating one) get alpha columns.  Grid points run in series.
     Per-point failures are recorded on the point and do not abort the sweep;
     the points of a T_M sweep share one stencil call, so an error raised
     inside that call is recorded on each of them.
@@ -324,14 +280,29 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     grid = np.asarray(list(grid), dtype=float)
+    mod = config.modulating_terminal
     if terminals is None:
-        mod = config.modulating_terminal
         terminals = tuple(x for x in config.system_terminals if x != mod)
     else:
         terminals = tuple(terminals)
         bad = set(terminals) - set(config.system_terminals)
         if bad:
             raise ValueError(f"unknown terminals {sorted(bad)}")
+        if mod in terminals:
+            raise ValueError(f"terminal {mod!r} is the modulating one")
+    if axis != "t" and t is None:
+        raise ValueError(f"axis {axis!r} needs an evaluation time t")
+
+    n = len(grid)
+    errors = [""] * n
+    currents = {x: np.full(n, np.nan) for x in config.system_terminals}
+    derivatives = {x: np.full(n, np.nan) for x in config.system_terminals}
+
+    def fill(rows: List[int], configs: List[ModelConfig], times) -> None:
+        center, deriv = _stencil(configs, times, boundary)
+        for x in config.system_terminals:
+            currents[x][rows] = center[x].ravel()
+            derivatives[x][rows] = deriv[x].ravel()
 
     if axis == "t":
         sd = config.sample_dt
@@ -339,33 +310,27 @@ def sweep(
         if np.any(off > 1e-9):
             raise ValueError("time grid points must be sample_dt multiples")
         # one stencil covers every requested time
-        points = _points([config], grid, grid, terminals, divergence_tol,
-                         boundary)
-        return SweepResult(axis, grid, points, config.system_terminals,
-                           terminals)
+        fill(list(range(n)), [config], grid)
+    else:
+        valid = {}
+        for i, value in enumerate(grid):
+            try:
+                cfg = _point_config(config, axis, float(value))
+                _check_stencil_domain(cfg)
+            except Exception as exc:  # recorded per point, sweep continues
+                errors[i] = f"{type(exc).__name__}: {exc}"
+            else:
+                valid[i] = cfg
+        # every T_M point has the same H_tot, so one stencil serves them all
+        batches = [list(valid)] if axis == "T_M" and valid else \
+            [[i] for i in valid]
+        for batch in batches:
+            try:
+                fill(batch, [valid[i] for i in batch], [t])
+            except Exception as exc:  # recorded per point, sweep continues
+                for i in batch:
+                    errors[i] = f"{type(exc).__name__}: {exc}"
 
-    if t is None:
-        raise ValueError(f"axis {axis!r} needs an evaluation time t")
-
-    points: List[Optional[SweepPoint]] = [None] * len(grid)
-    valid = {}
-    for i, value in enumerate(grid):
-        try:
-            cfg = _point_config(config, axis, float(value))
-            _check_stencil_domain(cfg)
-        except Exception as exc:  # recorded per point, sweep continues
-            points[i] = _failed(value, exc)
-        else:
-            valid[i] = cfg
-    # every T_M point has the same H_tot, so one stencil serves them all
-    batches = [list(valid)] if axis == "T_M" and valid else \
-        [[i] for i in valid]
-    for batch in batches:
-        try:
-            done = _points([valid[i] for i in batch], [t], grid[batch],
-                           terminals, divergence_tol, boundary)
-        except Exception as exc:  # recorded per point, sweep continues
-            done = [_failed(grid[i], exc) for i in batch]
-        for i, point in zip(batch, done):
-            points[i] = point
-    return SweepResult(axis, grid, points, config.system_terminals, terminals)
+    alphas = {x: _alpha(derivatives[x], derivatives[mod], divergence_tol)
+              for x in terminals}
+    return SweepResult(axis, grid, currents, derivatives, alphas, errors)

@@ -30,7 +30,6 @@ class SpinOps:
     """Spin operators used by the builders (2x2 Pauli, 3x3 spin-1)."""
 
     sx_half = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    sy_half = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
     sz_half = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     # spin-1 ladder gives the 1/sqrt(2) off-diagonals
     sx_one = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
@@ -39,8 +38,7 @@ class SpinOps:
                       dtype=np.complex128)
 
 
-for _m in (SpinOps.sx_half, SpinOps.sy_half, SpinOps.sz_half,
-           SpinOps.sx_one, SpinOps.sz_one):
+for _m in (SpinOps.sx_half, SpinOps.sz_half, SpinOps.sx_one, SpinOps.sz_one):
     _m.setflags(write=False)
 
 

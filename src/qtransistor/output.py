@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from . import BLAS_THREADS, __version__, metrics
 
@@ -69,26 +70,16 @@ def sweep_table(result: metrics.SweepResult, stem: str,
     derivative columns are named after the ``modulating`` terminal (``L``
     on the two-qubit device).
     """
-    current_terms = list(result.current_terminals)
-    alpha_terms = list(result.alpha_terminals)
     axis = f"T_{modulating}" if result.axis == "T_M" else result.axis
     columns = [(axis, AXIS_UNITS[result.axis])]
-    columns += [(f"J_{x}", U_CURRENT) for x in current_terms]
-    columns += [(f"dJ{x}_dT{modulating}", U_DERIV) for x in current_terms]
-    columns += [(f"alpha_{x}", U_NONE) for x in alpha_terms]
-    n_data = len(current_terms) * 2 + len(alpha_terms)
-    rows, errors = [], []
-    for p in result.values:
-        if p.error:
-            rows.append([p.value] + [math.nan] * n_data)
-            errors.append(p.error)
-        else:
-            rows.append([p.value]
-                        + [p.currents[x] for x in current_terms]
-                        + [p.derivatives[x] for x in current_terms]
-                        + [p.alphas[x].alpha for x in alpha_terms])
-            errors.append("")
-    return Table(stem=stem, columns=columns, rows=rows, errors=errors)
+    columns += [(f"J_{x}", U_CURRENT) for x in result.currents]
+    columns += [(f"dJ{x}_dT{modulating}", U_DERIV) for x in result.derivatives]
+    columns += [(f"alpha_{x}", U_NONE) for x in result.alphas]
+    data = np.column_stack([result.grid, *result.currents.values(),
+                            *result.derivatives.values(),
+                            *result.alphas.values()])
+    return Table(stem=stem, columns=columns, rows=data.tolist(),
+                 errors=list(result.errors))
 
 
 def _fmt(x: float) -> str:

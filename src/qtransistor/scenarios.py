@@ -14,7 +14,6 @@ divergence of alpha at the critical temperature, the sharp coupling peak).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -83,12 +82,6 @@ def _time_grid(config: ModelConfig, t_max: float) -> np.ndarray:
     return np.round(np.arange(1, n + 1) * config.sample_dt, 12)
 
 
-def _alpha_value(point: metrics.SweepPoint, terminal: str) -> float:
-    if point.error:
-        return math.nan
-    return point.alphas[terminal].alpha
-
-
 def _sweep_table(
     stem: str,
     sweeps: List[Tuple[str, metrics.SweepResult, str]],
@@ -97,17 +90,10 @@ def _sweep_table(
     axis, grid = sweeps[0][1].axis, sweeps[0][1].grid
     columns = [(axis, AXIS_UNITS[axis])]
     columns += [(label, U_NONE) for label, _, _ in sweeps]
-    rows, errors = [], []
-    for i, v in enumerate(grid):
-        row = [float(v)]
-        errs = []
-        for _, res, terminal in sweeps:
-            p = res.values[i]
-            row.append(_alpha_value(p, terminal))
-            if p.error:
-                errs.append(p.error)
-        rows.append(row)
-        errors.append("; ".join(errs))
+    rows = np.column_stack(
+        [grid] + [res.alphas[x] for _, res, x in sweeps]).tolist()
+    errors = ["; ".join(filter(None, errs))
+              for errs in zip(*(res.errors for _, res, _ in sweeps))]
     return Table(stem=stem, columns=columns, rows=rows, errors=errors)
 
 

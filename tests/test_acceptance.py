@@ -7,7 +7,6 @@ tolerances; nothing here is mocked or shortcut.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -25,7 +24,7 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _alphas(result, terminal: str) -> np.ndarray:
-    return np.array([p.alphas[terminal].alpha for p in result.values])
+    return result.alphas[terminal]
 
 
 def _report(num: int, checks) -> None:
@@ -258,10 +257,6 @@ def _env_product(cfg: ModelConfig) -> np.ndarray:
     return la.kron(*parts)
 
 
-def _same(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 def test_criterion_10_property_suite():
     checks = []
 
@@ -323,14 +318,12 @@ def test_criterion_10_property_suite():
     grid = [5.0, 7.5, 10.0]
     first = sweep(ModelConfig.default(), "T_M", grid, t=1.0)
     again = sweep(ModelConfig.default(), "T_M", grid, t=1.0)
-    identical = all(
-        p.error == q.error
-        and all(_same(p.currents[x], q.currents[x]) for x in p.currents)
-        and all(_same(p.derivatives[x], q.derivatives[x])
-                for x in p.derivatives)
-        and all(_same(p.alphas[x].alpha, q.alphas[x].alpha)
-                for x in p.alphas)
-        for p, q in zip(first.values, again.values))
+    identical = first.errors == again.errors and all(
+        np.array_equal(a[x], b[x], equal_nan=True)
+        for a, b in ((first.currents, again.currents),
+                     (first.derivatives, again.derivatives),
+                     (first.alphas, again.alphas))
+        for x in a)
     checks.append(("a repeated sweep gives the same bits", identical,
                    f"{len(grid)} points compared bit-for-bit"))
 

@@ -87,3 +87,39 @@ def test_checkouts_alike_in_their_bytecode_cache_are_run(tmp_path,
         assert bench_pairs.main(checkouts(tmp_path / str(i), cached)) == 0
     # the parent goes first on even pairs, the change on odd ones
     assert runs == ["parent", "change", "change", "parent"] * 2
+
+
+def test_the_json_line_repeats_the_text_verdict(tmp_path, monkeypatch,
+                                                capsys):
+    # in call order: the parent goes first on even pairs
+    values = iter([30.0, 31.0, 29.5, 33.25, 30.0, 30.0, 28.0, 35.0])
+
+    def canned(checkout, command, workload, seed, seconds):
+        return result(next(values), 48.0 + seed, failed=seed % 2)
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    args = checkouts(tmp_path, (False, False))
+    args[args.index("--pairs") + 1] = "4"
+    assert bench_pairs.main(args) == 0
+    *_, points, rss, parent, change, last = \
+        capsys.readouterr().out.splitlines()
+    assert points == ("points_per_s (higher is better): parent 31.625 "
+                      "[30, 33.6875] -> change 29.75 [29.125, 30.25]; "
+                      "change wins 1/4; gain not shown")
+    assert rss.endswith("change wins 0/4; gain not shown")
+    assert (parent, change) == ("parent: 2/40 rows failed",
+                                "change: 2/40 rows failed")
+    assert json.loads(last) == {"backflow": {
+        "pairs": 4, "seconds": 1.0, "seeds": [1, 4],
+        "metrics": {
+            "points_per_s": {
+                "better": "higher",
+                "parent": {"median": 31.625, "quartiles": [30.0, 33.6875]},
+                "change": {"median": 29.75, "quartiles": [29.125, 30.25]},
+                "change_wins": 1, "gain_shown": False},
+            "peak_rss_mb": {
+                "better": "lower",
+                "parent": {"median": 50.5, "quartiles": [49.75, 51.25]},
+                "change": {"median": 50.5, "quartiles": [49.75, 51.25]},
+                "change_wins": 0, "gain_shown": False}},
+        "failed_rows": {"parent": "2/40", "change": "2/40"}}}

@@ -220,6 +220,26 @@ def test_sweep_cross_field_rules():
             """))
 
 
+def test_sweep_terminals_may_not_name_the_modulating_terminal(tmp_path,
+                                                              capsys):
+    text = SWEEP_DOC.replace("[sweep]\n", "[sweep]\nterminals = M, L\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    line = text.splitlines().index("terminals = M, L") + 1
+    assert exc.value.problems == [
+        f"line {line}: terminals names the modulating terminal 'M', "
+        "which has no alpha"]
+    # the two-qubit device modulates through L
+    two = text.replace("terminals = M, L", "terminals = R, L").replace(
+        "sample_dt = 0.1\n", "sample_dt = 0.1\npreset = appendixA\n")
+    with pytest.raises(ConfigError, match="modulating terminal 'L'"):
+        parse_config(two)
+    cfg = tmp_path / "mod.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "modulating terminal 'M'" in capsys.readouterr().err
+
+
 def test_sweep_rejects_run_keys_it_would_not_read():
     with pytest.raises(ConfigError) as exc:
         parse_config(SWEEP_DOC.replace("t = 0.5\n", "t = 0.5\nt_max = 7.0\n"))

@@ -12,6 +12,7 @@ from qtransistor.metrics import (AmplificationResult, SweepResult,
                                  find_critical_TM, five_point_derivative,
                                  sweep)
 from qtransistor.model import ModelConfig
+from qtransistor.output import render_table, sweep_table
 
 
 def coarse(**over):
@@ -232,20 +233,28 @@ def test_sweep_validates_arguments():
 
 
 def test_sweep_defaults_to_non_modulating_terminals(temperature_sweep):
-    for point in temperature_sweep.values:
-        assert set(point.alphas) == {"L", "R"}
-        assert set(point.derivatives) == {"L", "M", "R"}
-        assert point.error is None
+    assert list(temperature_sweep.alphas) == ["L", "R"]
+    assert list(temperature_sweep.currents) == ["L", "M", "R"]
+    assert list(temperature_sweep.derivatives) == ["L", "M", "R"]
+    assert temperature_sweep.errors == ["", "", ""]
+
+
+def test_sweep_rejects_the_modulating_terminal(monkeypatch):
+    calls = count_sample_currents(monkeypatch)
+    with pytest.raises(ValueError, match="terminal 'M' is the modulating"):
+        sweep(ModelConfig.default(), "T_M", [5.0, 6.0], terminals=("M", "L"),
+              t=1.0)
+    assert not calls  # raised before any point ran
 
 
 def test_time_sweep_matches_pointwise_amplification():
     cfg = ModelConfig.default()
     sw = sweep(cfg, "t", [0.5, 1.0], terminals=("L",))
-    for tv, point in zip((0.5, 1.0), sw.values):
+    for i, tv in enumerate((0.5, 1.0)):
         direct = amplification(cfg, tv, "L")
-        assert point.alphas["L"].alpha == direct.alpha
-        assert point.derivatives["M"] == direct.dJM_dTM
-        assert point.derivatives["L"] == direct.dJX_dTM
+        assert sw.alphas["L"][i] == direct.alpha
+        assert sw.derivatives["M"][i] == direct.dJM_dTM
+        assert sw.derivatives["L"][i] == direct.dJX_dTM
 
 
 def test_temperature_sweep_is_one_stencil_call(monkeypatch):
@@ -253,19 +262,19 @@ def test_temperature_sweep_is_one_stencil_call(monkeypatch):
     sw = sweep(coarse(), "T_M", [0.05, 5.0, 6.0, 7.5], t=0.5)
     assert len(calls) == 1
     assert len(calls[0][0]) == 5 * 3  # the out-of-domain point is left out
-    assert [p.error is None for p in sw.values] == [False, True, True, True]
+    assert [not e for e in sw.errors] == [False, True, True, True]
 
 
 def test_temperature_sweep_matches_pointwise_amplification():
     cfg = ModelConfig.default()
     grid = [4.0, 5.5, 7.0, 8.5, 10.0]
     sw = sweep(cfg, "T_M", grid, t=1.0)
-    for value, point in zip(grid, sw.values):
+    for i, value in enumerate(grid):
         for x in ("L", "R"):
             direct = amplification(cfg.with_temperature("M", value), 1.0, x)
-            assert point.alphas[x].alpha == direct.alpha
-            assert point.derivatives["M"] == direct.dJM_dTM
-            assert point.derivatives[x] == direct.dJX_dTM
+            assert sw.alphas[x][i] == direct.alpha
+            assert sw.derivatives["M"][i] == direct.dJM_dTM
+            assert sw.derivatives[x][i] == direct.dJX_dTM
 
 
 def test_an_error_inside_the_stencil_call_marks_every_point(monkeypatch):
@@ -274,11 +283,11 @@ def test_an_error_inside_the_stencil_call_marks_every_point(monkeypatch):
 
     monkeypatch.setattr(engine, "_real_currents", broken)
     sw = sweep(coarse(), "T_M", [5.0, 6.0, 7.5], t=0.5)
-    assert len(sw.values) == 3
-    for point in sw.values:
-        assert point.error == \
-            "FloatingPointError: current has imaginary residue 1.000e-03"
-        assert not point.alphas and not point.currents
+    assert sw.errors == \
+        ["FloatingPointError: current has imaginary residue 1.000e-03"] * 3
+    for column in (*sw.currents.values(), *sw.derivatives.values(),
+                   *sw.alphas.values()):
+        assert np.isnan(column).all()
 
 
 def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
@@ -303,31 +312,55 @@ def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
     for run, rows in cases:
         taus.clear()
         result = run()
-        assert all(p.error is None and p.alphas for p in result.values)
+        assert not any(result.errors)
+        assert all(np.isfinite(d).all() for d in result.derivatives.values())
         assert len(taus) == rows
 
 
 def test_sweep_records_per_point_failures():
     cfg = coarse()
     sw = sweep(cfg, "T_M", [0.05, 5.0], t=0.5)
-    bad, good = sw.values
-    assert bad.error is not None and "physical domain" in bad.error
-    assert bad.error.startswith("ValueError")
-    assert not bad.alphas and not bad.currents
-    assert good.error is None and good.alphas["L"] is not None
+    bad, good = sw.errors
+    assert "physical domain" in bad and bad.startswith("ValueError")
+    assert good == ""
+    for column in (*sw.currents.values(), *sw.derivatives.values(),
+                   *sw.alphas.values()):
+        assert np.isnan(column[0]) and np.isfinite(column[1])
 
 
 def test_epsilon_sweep_requires_nonlinear_ancillas():
     sw = sweep(coarse(), "epsilon", [0.0, 0.01], t=0.5)
-    assert all(p.error is not None and "qutrit-nonlinear" in p.error
-               for p in sw.values)
+    assert all("qutrit-nonlinear" in e for e in sw.errors)
+    assert np.isnan(sw.alphas["L"]).all()
     ok = sweep(coarse(kind="qutrit-nonlinear"), "epsilon", [0.0, 0.01], t=0.5)
-    assert all(p.error is None and "L" in p.alphas for p in ok.values)
+    assert ok.errors == ["", ""] and np.isfinite(ok.alphas["L"]).all()
+
+
+def test_diverged_points_inside_a_sweep_read_nan_without_an_error():
+    # an absurdly large tolerance marks every alpha as diverged
+    sw = sweep(coarse(), "T_M", [5.0, 6.0], t=0.5, divergence_tol=1e9)
+    assert all(np.isnan(a).all() for a in sw.alphas.values())
+    for column in (*sw.currents.values(), *sw.derivatives.values()):
+        assert np.isfinite(column).all()
+    assert sw.errors == ["", ""]
+    table = sweep_table(sw, "diverged")
+    alpha_cells = [i for i, (name, _) in enumerate(table.columns)
+                   if name.startswith("alpha_")]
+    lines = render_table(table).splitlines()[1:]
+    for line in lines:
+        cells = line.split(",")
+        assert [cells[i] for i in alpha_cells] == ["nan", "nan"]
+        assert cells[-1] == ""
 
 
 def test_sweep_result_shape_demands_one_record_per_point():
     with pytest.raises(ValueError, match="one record per grid point"):
-        SweepResult(axis="T_M", grid=np.array([1.0, 2.0]), values=[])
+        SweepResult(axis="T_M", grid=np.array([1.0, 2.0]), currents={},
+                    derivatives={}, alphas={}, errors=[])
+    with pytest.raises(ValueError, match="one record per grid point"):
+        SweepResult(axis="T_M", grid=np.array([1.0, 2.0]),
+                    currents={"L": np.zeros(3)}, derivatives={}, alphas={},
+                    errors=["", ""])
 
 
 # --------------------------------------------- amplification sign structure
@@ -343,5 +376,5 @@ def test_alpha_L_changes_sign_across_the_critical_interval():
 
 def test_left_and_right_amplification_degenerate(temperature_sweep):
     # stated behavior: alpha_L == alpha_R pointwise for the baseline coupling
-    for point in temperature_sweep.values:
-        assert abs(point.alphas["L"].alpha - point.alphas["R"].alpha) <= 1e-6
+    gap = np.abs(temperature_sweep.alphas["L"] - temperature_sweep.alphas["R"])
+    assert np.all(gap <= 1e-6)
