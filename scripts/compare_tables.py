@@ -8,18 +8,30 @@ For every CSV under either directory (matched by relative path) it prints
 cells with |old| > 1e-3, and on a second line its direction: the signed
 change new - old of largest size, and how many cells rose and how many
 fell.  A NaN cell equals only a NaN cell; the
-``error`` column is compared as text.  Exit status 1 when the
-two directories hold different CSVs, or a CSV with different columns or
-row counts; 0 otherwise, whatever the values.
+``error`` column is compared as text.
+
+Each ``manifest.json`` is compared key by key (nested keys joined with
+"."), skipping ``generated_at`` and ``duration_seconds``, which differ on
+every run; it prints "equal" or the keys that differ.  Keys under
+``files`` hold the CSVs' digests and sizes, so they differ exactly when a
+CSV's bytes do.
+
+Exit status 1 when the two directories hold different CSVs or manifests,
+a CSV with different columns or row counts, or manifests that differ
+outside ``files`` (the runs were set up differently); 0 otherwise,
+whatever the values.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
 
 REL_FLOOR = 1e-3
+MANIFEST = "manifest.json"
+RUN_STAMPS = ("generated_at", "duration_seconds")
 
 
 def _read(path: Path):
@@ -53,15 +65,44 @@ def _column_change(old: list, new: list) -> str:
             f"{rose} rose, {fell} fell")
 
 
+def _flat(tree, prefix: str = "") -> dict:
+    """Leaves of a JSON tree keyed by their dotted paths."""
+    if not isinstance(tree, dict) or not tree:
+        return {prefix: tree}
+    out = {}
+    for key, value in tree.items():
+        out.update(_flat(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def _compare_manifests(rel: Path, old: Path, new: Path) -> int:
+    """Print which keys of two manifests differ; 1 if any outside files."""
+    old_keys, new_keys = (_flat(json.loads(p.read_text(encoding="utf-8")))
+                          for p in (old, new))
+    absent = object()
+    keys = sorted(k for k in old_keys.keys() | new_keys.keys()
+                  if k not in RUN_STAMPS
+                  and old_keys.get(k, absent) != new_keys.get(k, absent))
+    if not keys:
+        print(f"{rel}: equal apart from " + ", ".join(RUN_STAMPS))
+        return 0
+    print(f"{rel}: keys differ: " + ", ".join(keys))
+    return int(any(not k.startswith("files.") for k in keys))
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
     paths = sorted({p.relative_to(d) for d in (old_dir, new_dir)
-                    for p in d.rglob("*.csv")})
+                    for pattern in ("*.csv", MANIFEST)
+                    for p in d.rglob(pattern)})
     status = 0
     for rel in paths:
         old, new = old_dir / rel, new_dir / rel
         if not (old.exists() and new.exists()):
             print(f"{rel}: only in {old_dir if old.exists() else new_dir}")
             status = 1
+            continue
+        if rel.name == MANIFEST:
+            status |= _compare_manifests(rel, old, new)
             continue
         if old.read_bytes() == new.read_bytes():
             print(f"{rel}: byte-identical")

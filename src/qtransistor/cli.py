@@ -11,13 +11,14 @@ Exit status: 0 when every grid point computed, 1 when some points failed
 (partial tables are kept and the failures sit in the ``error`` column),
 2 when the configuration was rejected.  The output directory comes from
 ``--out``, the config file, or the QTRANSISTOR_OUT environment variable,
-in that order.
+in that order.  The ``run`` flags --scenario, --out, --workers and
+--boundary are handed to ``parse_config`` as the [run] keys of the same
+name, so they are checked by the rules a config file's values meet.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -28,13 +29,16 @@ from . import __version__
 from .config import (ConfigError, RunConfig, manifest_parameters,
                      parse_config, run_tables)
 from .output import write_manifest, write_table
-from .scenarios import SCENARIOS, scenario_names
+from .scenarios import SCENARIOS
 
 ENV_OUT = "QTRANSISTOR_OUT"
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+
+# run flags read as the [run] keys of the same name
+RUN_FLAGS = ("scenario", "out", "workers", "boundary")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,11 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE",
                      help="override a model/time/blp parameter (repeatable)")
     run.add_argument("--out", metavar="DIR", help="output directory")
-    run.add_argument("--workers", type=int, metavar="N",
+    run.add_argument("--workers", metavar="N",
                      help="recorded in the manifest; grid points run in "
                           "series (default 1)")
-    run.add_argument("--boundary", choices=("left", "right"),
-                     help="window-edge current convention (default left)")
+    run.add_argument("--boundary", metavar="SIDE",
+                     help="window-edge current convention, left or right "
+                          "(default left)")
 
     sub.add_parser("scenarios", help="list registered scenario names")
 
@@ -81,24 +86,10 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if (args.scenario is None) == (args.config is None):
         raise ConfigError(
             ["run requires exactly one of --scenario and --config"])
-    if args.config is not None:
-        text = _read_config(args.config)
-    elif args.scenario in SCENARIOS:
-        text = f"[run]\nscenario = {args.scenario}\n"
-    else:
-        raise ConfigError(
-            [f"unknown scenario {args.scenario!r}; known: "
-             + ", ".join(scenario_names())])
-    rc = parse_config(text, args.sets)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError([f"--workers must be >= 1, got {args.workers}"])
-        rc = dataclasses.replace(rc, workers=args.workers)
-    if args.boundary is not None:
-        rc = dataclasses.replace(rc, boundary=args.boundary)
-    if args.out is not None:
-        rc = dataclasses.replace(rc, out_dir=args.out)
-    return rc
+    text = "" if args.config is None else _read_config(args.config)
+    flags = {k: getattr(args, k) for k in RUN_FLAGS
+             if getattr(args, k) is not None}
+    return parse_config(text, args.sets, flags=flags)
 
 
 def _resolve_out_dir(rc: RunConfig) -> Path:

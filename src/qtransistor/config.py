@@ -15,12 +15,15 @@ whole document validates.  Omitted keys fall back to the reference setup
 (delta = 3, g = 4, collision window 0.5, T_L = 4, T_M = T_R = 10,
 stencil step h = 0.05, sample spacing 0.01).
 
-``parse_config`` is the one place where a run's settings are decided:
-``--set key=value`` pairs (any [model] or [blp] key, plus ``t`` and
-``t_max``) are merged over the document's values first, and every
+``parse_config`` is the one place where a run's settings are decided.
+Every value, whether from a document line, a ``--set key=value`` pair (any
+[model] or [blp] key, plus ``t`` and ``t_max``) or a ``run`` flag (read as
+the [run] key of its name), is converted and domain-checked by one rule,
+``_read_value``.  Pairs and flags beat the document's values, and every
 cross-field check (keys a [sweep] run would not read, the evaluation time,
-the epsilon-sweep kind, the combined model, sweep terminals that name the
-modulating one) then runs once, on the merged values.
+the epsilon-sweep kind, the combined model, sweep terminals the model
+lacks or that name the modulating one) then runs once, on the merged
+values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -81,22 +85,43 @@ class _Key:
     dest: Optional[str] = None  # overrides-dict name when it differs
 
 
+def _read_value(into: Dict[str, Any], key: str, raw: str, spec: _Key,
+                where: str, problems: List[str]) -> None:
+    """Convert and domain-check one raw value and store it in ``into``.
+
+    The one rule for document lines, ``--set`` pairs and run flags alike;
+    a bad value becomes a problem prefixed with ``where`` (its line or
+    flag) and is left out of ``into``.
+    """
+    try:
+        val = spec.convert(raw)
+    except (ValueError, TypeError):
+        problems.append(
+            f"{where}{key} = {raw!r} is not a valid {spec.type_name}")
+        return
+    if spec.check is not None and not spec.check(val):
+        problems.append(
+            f"{where}{key} = {raw!r} out of domain ({spec.domain})")
+        return
+    into[spec.dest or key] = val
+
+
 def _fkey(check=None, domain="", dest=None) -> _Key:
     return _Key(float, "number", check, domain, dest)
 
 
-def _ikey(check=None, domain="", dest=None) -> _Key:
-    return _Key(int, "integer", check, domain, dest)
+def _ikey(check=None, domain="") -> _Key:
+    return _Key(int, "integer", check, domain)
 
 
-def _bkey(dest=None) -> _Key:
-    return _Key(_to_bool, "boolean", dest=dest)
+def _bkey() -> _Key:
+    return _Key(_to_bool, "boolean")
 
 
-def _ckey(choices, dest=None) -> _Key:
+def _ckey(choices, lead="one of ") -> _Key:
     choices = tuple(choices)
     return _Key(str.strip, "string", lambda v: v in choices,
-                "one of " + ", ".join(choices), dest)
+                lead + ", ".join(choices))
 
 
 _POS = (lambda v: v > 0, "must be positive")
@@ -122,8 +147,8 @@ _MODEL_KEYS: Dict[str, _Key] = {
 }
 
 _RUN_KEYS: Dict[str, _Key] = {
-    "scenario": _ckey(scenario_names()),
-    "out": _Key(str.strip, "string"),
+    "scenario": _ckey(scenario_names(), "unknown scenario; known: "),
+    "out": _Key(str.strip, "string", bool, "must not be empty"),
     "workers": _ikey(lambda v: v >= 1, "must be >= 1"),
     "boundary": _ckey(("left", "right")),
     "t": _fkey(*_POS),
@@ -178,12 +203,8 @@ class RunConfig:
     boundary: str = "left"
     search: SearchConfig = SearchConfig()
 
-    def model_overrides(self) -> Dict[str, Any]:
-        return {k: v for k, v in self.overrides.items()
-                if k not in RUN_OVERRIDE_KEYS}
-
     def resolved_model(self) -> ModelConfig:
-        return _make_config(self.model_overrides())
+        return _make_config(self.overrides)
 
 
 def _problem_order(problem: str) -> Tuple[int, str]:
@@ -247,18 +268,26 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def parse_config(text: str, sets: Sequence[str] = ()) -> RunConfig:
-    """Validate an INI document plus ``--set key=value`` pairs and resolve
-    them into a RunConfig.
+def parse_config(text: str, sets: Sequence[str] = (), *,
+                 flags: Optional[Mapping[str, str]] = None) -> RunConfig:
+    """Validate an INI document plus ``--set key=value`` pairs and ``run``
+    flags, and resolve them into a RunConfig.
 
-    The pairs are checked by ``parse_set_overrides`` and merged over the
-    document's values (``--set t`` also beats ``t`` in [sweep]) before any
-    cross-field check, so every check runs once, on the values the run uses.
+    ``flags`` maps [run] keys to the raw strings given on the command line
+    (``{"workers": "3"}`` for ``--workers 3``).  Pairs and flags are read
+    by the same rule as the document's lines and merged over its values
+    (``--set t`` also beats ``t`` in [sweep]) before any cross-field check,
+    so every check runs once, on the values the run uses.
     """
-    set_values, set_blp = parse_set_overrides(sets)
     parser = _read_ini(text)
     lines = _line_map(text)
     problems: List[str] = []
+    try:
+        set_values, set_blp = parse_set_overrides(sets)
+    except ConfigError as exc:
+        problems += exc.problems
+        set_values, set_blp = {}, {}
+    flags = flags or {}
 
     def at(section: str, key: Optional[str] = None) -> str:
         n = lines.get((section, key))
@@ -281,27 +310,20 @@ def parse_config(text: str, sets: Sequence[str] = ()) -> RunConfig:
                     f"{at(section, key)}unknown key {key!r} in [{section}]; "
                     "expected one of " + ", ".join(sorted(table)))
                 continue
-            try:
-                val = spec.convert(raw)
-            except (ValueError, TypeError):
-                problems.append(
-                    f"{at(section, key)}{key} = {raw!r} is not a valid "
-                    f"{spec.type_name}")
-                continue
-            if spec.check is not None and not spec.check(val):
-                problems.append(
-                    f"{at(section, key)}{key} = {raw!r} out of domain "
-                    f"({spec.domain})")
-                continue
-            values[section][spec.dest or key] = val
+            _read_value(values[section], key, raw, spec, at(section, key),
+                        problems)
+    flag_values: Dict[str, Any] = {}
+    for key, raw in flags.items():
+        _read_value(flag_values, key, raw, _RUN_KEYS[key], f"--{key}: ",
+                    problems)
 
-    run = values["run"]
+    run = {**values["run"], **flag_values}
     overrides = dict(values["model"])
     overrides.update((k, run[k]) for k in RUN_OVERRIDE_KEYS if k in run)
     overrides.update(set_values)
 
-    # presence from the raw document, so an invalid value is reported once
-    has_scenario = parser.has_option("run", "scenario")
+    # presence from the raw input, so an invalid value is reported once
+    has_scenario = parser.has_option("run", "scenario") or "scenario" in flags
     has_sweep = parser.has_section("sweep")
     if has_scenario == has_sweep:
         which = "both given" if has_scenario else "neither given"
@@ -366,11 +388,20 @@ def parse_config(text: str, sets: Sequence[str] = ()) -> RunConfig:
         model = rc.resolved_model()  # combined-value checks (divisibility)
     except (ValueError, TypeError) as exc:
         raise ConfigError([f"{at('model')}model rejected: {exc}"]) from None
+    terminals = (sweep_spec and sweep_spec.terminals) or ()
+    lacking = ", ".join(repr(x) for x in terminals
+                        if x not in model.system_terminals)
+    if lacking:
+        problems.append(
+            f"terminals names {lacking}, which the model does not have "
+            f"(its terminals: {', '.join(model.system_terminals)})")
     mod = model.modulating_terminal
-    if sweep_spec is not None and mod in (sweep_spec.terminals or ()):
+    if mod in terminals:
+        problems.append(f"terminals names the modulating terminal {mod!r}, "
+                        "which has no alpha")
+    if problems:
         raise ConfigError(
-            [f"{at('sweep', 'terminals')}terminals names the modulating "
-             f"terminal {mod!r}, which has no alpha"])
+            [at("sweep", "terminals") + p for p in problems])
     return rc
 
 
@@ -387,7 +418,7 @@ def parse_set_overrides(pairs: Sequence[str]) -> Tuple[Dict[str, Any],
     """Validate ``--set key=value`` pairs.
 
     Returns (model-and-time overrides, blp overrides); diagnostics carry
-    the offending pair instead of a line number.
+    ``--set`` or the offending pair instead of a line number.
     """
     problems: List[str] = []
     overrides: Dict[str, Any] = {}
@@ -404,17 +435,8 @@ def parse_set_overrides(pairs: Sequence[str]) -> Tuple[Dict[str, Any],
                 + ", ".join(sorted(_SET_KEYS)))
             continue
         table_name, spec = entry
-        try:
-            val = spec.convert(raw)
-        except (ValueError, TypeError):
-            problems.append(
-                f"--set {pair!r}: not a valid {spec.type_name}")
-            continue
-        if spec.check is not None and not spec.check(val):
-            problems.append(f"--set {pair!r}: out of domain ({spec.domain})")
-            continue
-        target = blp if table_name == "blp" else overrides
-        target[spec.dest or key] = val
+        _read_value(blp if table_name == "blp" else overrides, key, raw,
+                    spec, "--set: ", problems)
     if problems:
         raise ConfigError(problems)
     return overrides, blp
@@ -440,15 +462,7 @@ def manifest_parameters(rc: RunConfig) -> Dict[str, Any]:
         "workers": rc.workers,
         "overrides": dict(rc.overrides),
         "blp_search": dataclasses.asdict(rc.search),
-        "base_model": {
-            "coupling": dataclasses.asdict(model.coupling),
-            "env": dataclasses.asdict(model.env),
-            "g": model.g,
-            "dt_collision": model.dt_collision,
-            "sample_dt": model.sample_dt,
-            "stencil_h": model.stencil_h,
-            "n_qubits": model.n_qubits,
-        },
+        "base_model": dataclasses.asdict(model),
     }
     if rc.scenario is not None:
         params["scenario"] = rc.scenario

@@ -82,24 +82,21 @@ def sweep_table(result: metrics.SweepResult, stem: str,
                  errors=list(result.errors))
 
 
-def _fmt(x: float) -> str:
-    # + 0.0 turns -0.0 into 0.0: an exact zero is written unsigned
-    return f"{float(x) + 0.0:.11e}"
-
-
 def render_table(table: Table) -> str:
     if len(table.rows) != len(table.errors):
         raise ValueError("one error entry per row required")
     header = "# " + ",".join(f"{n}({u})" for n, u in table.columns)
     lines = [header + ",error"]
     width = len(table.columns)
+    line = "%.11e," * width + "%s"
     for row, err in zip(table.rows, table.errors):
         if len(row) != width:
             raise ValueError(
                 f"row width {len(row)} != {width} columns in {table.stem}")
+        # + 0.0 turns -0.0 into 0.0: an exact zero is written unsigned;
         # errors may not introduce extra separators
-        lines.append(",".join(_fmt(v) for v in row) + ","
-                     + err.replace(",", ";").replace("\n", " "))
+        lines.append(line % (*[v + 0.0 for v in row],
+                             err.replace(",", ";").replace("\n", " ")))
     return "\n".join(lines) + "\n"
 
 

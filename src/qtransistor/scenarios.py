@@ -21,11 +21,11 @@ import numpy as np
 
 from . import metrics, nonmarkov
 from .model import ModelConfig
+from .nonmarkov import SearchConfig
 from .output import AXIS_UNITS, U_NONE, U_TIME, Table, sweep_table
 
 __all__ = [
     "Scenario",
-    "RunContext",
     "SCENARIOS",
     "RUN_OVERRIDE_KEYS",
     "scenario_names",
@@ -34,47 +34,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RunContext:
-    """Execution knobs shared by every scenario builder."""
-
-    boundary: str = "left"
-    search: nonmarkov.SearchConfig = field(
-        default_factory=nonmarkov.SearchConfig)
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
-    # (model overrides, run overrides t / t_max, context) -> tables
-    build: Callable[[Dict, Dict, RunContext], List[Table]] = field(
-        repr=False)
+    # (overrides, boundary, backflow search settings) -> tables
+    build: Callable[[Dict, str, SearchConfig], List[Table]] = field(repr=False)
 
 
 # run-level keys recognized in overrides; the rest go to the model config
 RUN_OVERRIDE_KEYS = ("t", "t_max")
 
 
-def _split_overrides(overrides: Optional[Dict]) -> Tuple[Dict, Dict]:
-    overrides = dict(overrides or {})
-    run = {k: overrides.pop(k) for k in list(overrides)
-           if k in RUN_OVERRIDE_KEYS}
-    return run, overrides
+def _make_config(over: Dict, preset: Optional[str] = None,
+                 **forced) -> ModelConfig:
+    """Model config from the run's overrides plus scenario-forced values.
 
-
-def _make_config(model: Dict, *, preset: str = "baseline",
-                 allow_preset: bool = True, **forced) -> ModelConfig:
-    """Model config from user overrides plus scenario-forced values.
-
-    Scenarios that exist to compare coupling presets set
-    ``allow_preset=False`` and pin their own; elsewhere a ``preset``
-    override selects the named coupling set.
+    A scenario's forced ``preset`` beats the user's ``preset``, and the
+    user's beats "baseline".  The run keys t and t_max are not read.
     """
-    over = {**model, **forced}
-    user_preset = over.pop("preset", None)
-    if allow_preset and user_preset is not None:
-        preset = user_preset
-    return ModelConfig.default(preset, **over)
+    model = {k: v for k, v in over.items() if k not in RUN_OVERRIDE_KEYS}
+    user_preset = model.pop("preset", "baseline")
+    return ModelConfig.default(preset or user_preset, **{**model, **forced})
 
 
 def _time_grid(config: ModelConfig, t_max: float) -> np.ndarray:
@@ -97,90 +77,90 @@ def _sweep_table(
     return Table(stem=stem, columns=columns, rows=rows, errors=errors)
 
 
-def _fig2(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    cfg = _make_config(model)
-    t = float(run.get("t", 1.0))
+def _fig2(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    cfg = _make_config(over)
+    t = float(over.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
     res = metrics.sweep(cfg, "T_M", grid, terminals=(), t=t,
-                        boundary=ctx.boundary)
+                        boundary=boundary)
     return [sweep_table(res, "fig2", cfg.modulating_terminal)]
 
 
-def _fig3(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t = float(run.get("t", 1.0))
+def _fig3(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t = float(over.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
     sweeps = []
     for g in (3.5, 4.0, 4.5):
-        cfg = _make_config(model, g=g)
-        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
+        cfg = _make_config(over, g=g)
+        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=boundary)
         sweeps.append((f"alpha_L[g={g}]", res, "L"))
     return [_sweep_table("fig3", sweeps)]
 
 
-def _fig4(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    cfg = _make_config(model)
-    t_max = float(run.get("t_max", 5.0))
+def _fig4(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    cfg = _make_config(over)
+    t_max = float(over.get("t_max", 5.0))
     grid = _time_grid(cfg, t_max)
-    res = metrics.sweep(cfg, "t", grid, boundary=ctx.boundary)
+    res = metrics.sweep(cfg, "t", grid, boundary=boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
     return [_sweep_table("fig4", sweeps)]
 
 
-def _fig5(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    cfg = _make_config(model)
-    t = float(run.get("t", 1.0))
+def _fig5(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    cfg = _make_config(over)
+    t = float(over.get("t", 1.0))
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
-    res = metrics.sweep(cfg, "g", grid, t=t, boundary=ctx.boundary)
+    res = metrics.sweep(cfg, "g", grid, t=t, boundary=boundary)
     sweeps = [("alpha_L", res, "L"), ("alpha_R", res, "R")]
     return [_sweep_table("fig5", sweeps)]
 
 
-def _detached_configs(model: Dict) -> Dict[str, ModelConfig]:
+def _detached_configs(over: Dict) -> Dict[str, ModelConfig]:
     base = dict(T_L=4.0, T_M=8.0, T_R=10.0)
-    base.update(model)
+    base.update(over)
     return {
         "right-detached": _make_config(base, attach_R=False),
         "left-detached": _make_config(base, attach_L=False),
     }
 
 
-def _fig6(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t_max = float(run.get("t_max", 3.0))
+def _fig6(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t_max = float(over.get("t_max", 3.0))
     sweeps = []
-    for case, cfg in _detached_configs(model).items():
+    for case, cfg in _detached_configs(over).items():
         grid = _time_grid(cfg, t_max)
         res = metrics.sweep(cfg, "t", grid, terminals=("L", "R"),
-                            boundary=ctx.boundary)
+                            boundary=boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
     return [_sweep_table("fig6", sweeps)]
 
 
-def _fig7(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t = float(run.get("t", 0.7))
+def _fig7(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t = float(over.get("t", 0.7))
     grid = np.round(np.arange(3.5, 4.5 + 1e-9, 0.01), 10)
     sweeps = []
-    for case, cfg in _detached_configs(model).items():
+    for case, cfg in _detached_configs(over).items():
         res = metrics.sweep(cfg, "g", grid, terminals=("L", "R"), t=t,
-                            boundary=ctx.boundary)
+                            boundary=boundary)
         sweeps.append((f"alpha_L[{case}]", res, "L"))
         sweeps.append((f"alpha_R[{case}]", res, "R"))
     return [_sweep_table("fig7", sweeps)]
 
 
-def _fig8(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t = float(run.get("t", 0.4))
-    t_max = float(run.get("t_max", 3.0))
+def _fig8(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t = float(over.get("t", 0.4))
+    t_max = float(over.get("t_max", 3.0))
     temp_grid = np.round(np.arange(0.5, 12.0 + 1e-9, 0.25), 10)
     temp_sweeps, time_sweeps = [], []
     for preset in ("symmetric", "asymmetric"):
-        cfg = _make_config(model, preset=preset, allow_preset=False)
+        cfg = _make_config(over, preset=preset)
         res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t,
-                              boundary=ctx.boundary)
+                              boundary=boundary)
         temp_sweeps.append((f"alpha_L[{preset}]", res_T, "L"))
         temp_sweeps.append((f"alpha_R[{preset}]", res_T, "R"))
         res_t = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
-                              boundary=ctx.boundary)
+                              boundary=boundary)
         time_sweeps.append((f"alpha_L[{preset}]", res_t, "L"))
         time_sweeps.append((f"alpha_R[{preset}]", res_t, "R"))
     return [
@@ -192,66 +172,62 @@ def _fig8(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
 _EPSILONS_FIG9 = (0.0, 0.01, 0.03, 0.05, -0.01, -0.03, -0.05)
 
 
-def _nonlinear_config(model: Dict, eps: float, preset: str = "baseline",
-                      allow_preset: bool = True) -> ModelConfig:
-    if eps == 0.0:
-        return _make_config(model, preset=preset, allow_preset=allow_preset,
-                            kind="qutrit-linear", epsilon=0.0)
-    return _make_config(model, preset=preset, allow_preset=allow_preset,
-                        kind="qutrit-nonlinear", epsilon=eps)
+def _nonlinear_config(over: Dict, eps: float,
+                      preset: Optional[str] = None) -> ModelConfig:
+    kind = "qutrit-linear" if eps == 0.0 else "qutrit-nonlinear"
+    return _make_config(over, preset, kind=kind, epsilon=eps)
 
 
 def _eps_label(eps: float) -> str:
     return "alpha_L[linear]" if eps == 0.0 else f"alpha_L[eps={eps}]"
 
 
-def _fig9(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t = float(run.get("t", 1.0))
+def _fig9(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t = float(over.get("t", 1.0))
     grid = np.round(np.arange(4.0, 10.0 + 1e-9, 0.25), 10)
     sweeps = []
     for eps in _EPSILONS_FIG9:
-        cfg = _nonlinear_config(model, eps)
-        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
+        cfg = _nonlinear_config(over, eps)
+        res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=boundary)
         sweeps.append((_eps_label(eps), res, "L"))
     return [_sweep_table("fig9", sweeps)]
 
 
-def _fig10(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t_max = float(run.get("t_max", 3.0))
+def _fig10(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t_max = float(over.get("t_max", 3.0))
     sweeps = []
     for eps in (0.0, -0.01, 0.01):
-        cfg = _nonlinear_config(model, eps)
+        cfg = _nonlinear_config(over, eps)
         res = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
-                            boundary=ctx.boundary)
+                            boundary=boundary)
         sweeps.append((_eps_label(eps), res, "L"))
     return [_sweep_table("fig10", sweeps)]
 
 
-def _fig11(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t = float(run.get("t", 0.4))
+def _fig11(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t = float(over.get("t", 0.4))
     grid = np.round(np.arange(0.5, 12.0 + 1e-9, 0.25), 10)
     tables = []
     for preset in ("symmetric", "asymmetric"):
         sweeps = []
         for eps in (0.0, -0.01, 0.01):
-            cfg = _nonlinear_config(model, eps, preset=preset,
-                                    allow_preset=False)
-            res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=ctx.boundary)
+            cfg = _nonlinear_config(over, eps, preset=preset)
+            res = metrics.sweep(cfg, "T_M", grid, t=t, boundary=boundary)
             sweeps.append((_eps_label(eps), res, "L"))
         tables.append(_sweep_table(f"fig11_{preset}", sweeps))
     return tables
 
 
-def _fig12(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    t_max = float(run.get("t_max", 3.0))
+def _fig12(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    t_max = float(over.get("t_max", 3.0))
     tables = []
     for preset in ("baseline", "symmetric", "asymmetric"):
-        cfg = _make_config(model, preset=preset, allow_preset=False)
+        cfg = _make_config(over, preset=preset)
         # cutoffs about 0.1 apart, each on the sample grid
         step = max(1, round(0.1 / cfg.sample_dt)) * cfg.sample_dt
         cutoffs = np.round(np.arange(step, t_max + 1e-9, step), 10)
         series = nonmarkov.blp_series(cfg, cfg.system_terminals, cutoffs,
-                                      ctx.search)
+                                      search)
         columns = [("t", U_TIME)] + [(f"N_{x}", U_NONE)
                                      for x in cfg.system_terminals]
         rows = [[float(c)] + [float(v) for v in series[:, i]]
@@ -261,16 +237,16 @@ def _fig12(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     return tables
 
 
-def _fig13(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    cfg = _make_config({"kind": "qubit", **model})
-    t_star = float(run.get("t", 9.7))
-    t_max = float(run.get("t_max", 10.0))
+def _fig13(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    cfg = _make_config({"kind": "qubit", **over})
+    t_star = float(over.get("t", 9.7))
+    t_max = float(over.get("t_max", 10.0))
     res_t = metrics.sweep(cfg, "t", _time_grid(cfg, t_max),
-                          boundary=ctx.boundary)
+                          boundary=boundary)
     time_sweeps = [("alpha_L", res_t, "L"), ("alpha_R", res_t, "R")]
     temp_grid = np.round(np.arange(4.0, 12.0 + 1e-9, 0.25), 10)
     res_T = metrics.sweep(cfg, "T_M", temp_grid, t=t_star,
-                          boundary=ctx.boundary)
+                          boundary=boundary)
     temp_sweeps = [("alpha_L", res_T, "L"), ("alpha_R", res_T, "R")]
     return [
         _sweep_table("fig13_time", time_sweeps),
@@ -278,13 +254,12 @@ def _fig13(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
     ]
 
 
-def _appendixA(model: Dict, run: Dict, ctx: RunContext) -> List[Table]:
-    cfg = _make_config({"T_R": 4.0, **model}, preset="appendixA",
-                       allow_preset=False)
-    t = float(run.get("t", 1.0))
+def _appendixA(over: Dict, boundary: str, search: SearchConfig) -> List[Table]:
+    cfg = _make_config({"T_R": 4.0, **over}, preset="appendixA")
+    t = float(over.get("t", 1.0))
     grid = np.round(np.arange(0.2, 4.0 + 1e-9, 0.05), 10)
     res = metrics.sweep(cfg, "T_M", grid, terminals=("R",), t=t,
-                        boundary=ctx.boundary)
+                        boundary=boundary)
     table = sweep_table(res, "appendixA", cfg.modulating_terminal)
     table.columns[-1] = ("alpha", U_NONE)  # the device has one alpha
     return [table]
@@ -328,12 +303,10 @@ def build_tables(
     overrides: Optional[Dict] = None,
     *,
     boundary: str = "left",
-    search: Optional[nonmarkov.SearchConfig] = None,
+    search: Optional[SearchConfig] = None,
 ) -> List[Table]:
     if name not in SCENARIOS:
         known = ", ".join(SCENARIOS)
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
-    ctx = RunContext(boundary=boundary,
-                     search=search or nonmarkov.SearchConfig())
-    run, model = _split_overrides(overrides)
-    return SCENARIOS[name].build(model, run, ctx)
+    return SCENARIOS[name].build(overrides or {}, boundary,
+                                 search or SearchConfig())

@@ -161,6 +161,11 @@ def test_inline_comments_are_not_part_of_values():
     # a ';' or '#' inside a value, with no space before it, is kept
     assert parse_config("[run]\nscenario = fig2\nout = a;b#c\n").out_dir \
         == "a;b#c"
+    # so a number with a comment glued to it is not a number
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[run]\nscenario = fig2\n[model]\ng = 3.5;weaker\n")
+    assert exc.value.problems == [
+        "line 4: g = '3.5;weaker' is not a valid number"]
 
 
 def test_duplicate_key_rejected():
@@ -238,6 +243,26 @@ def test_sweep_terminals_may_not_name_the_modulating_terminal(tmp_path,
     cfg.write_text(text, encoding="utf-8")
     assert cli.main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "modulating terminal 'M'" in capsys.readouterr().err
+
+
+def test_sweep_terminals_the_model_lacks_are_rejected_before_running(
+        tmp_path, capsys):
+    # the two-qubit device has no M: validate and run give one verdict
+    text = SWEEP_DOC.replace(
+        "sample_dt = 0.1\n", "sample_dt = 0.1\npreset = appendixA\n"
+    ).replace("[sweep]\n", "[sweep]\nterminals = M\n")
+    line = text.splitlines().index("terminals = M") + 1
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+    validated = capsys.readouterr().err
+    assert validated == (
+        f"invalid configuration:\n  line {line}: terminals names 'M', which "
+        "the model does not have (its terminals: L, R)\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == validated and not out.exists()
 
 
 def test_sweep_rejects_run_keys_it_would_not_read():
@@ -324,6 +349,16 @@ def test_render_table_rejects_ragged_rows():
         render_table(Table("bad", [("x", "u")], [[1.0, 2.0]], [""]))
     with pytest.raises(ValueError, match="one error entry per row"):
         render_table(Table("bad", [("x", "u")], [[1.0]], []))
+
+
+def test_render_table_writes_signed_zero_nan_and_inf():
+    tb = Table("demo", [("a", "u"), ("b", "u"), ("c", "u"), ("d", "u")],
+               [[-0.0, float("nan"), float("inf"), -float("inf")],
+                [0.0, 1, -2.5, 1e-300]], ["", "x"])
+    assert render_table(tb).splitlines()[1:] == [
+        "0.00000000000e+00,nan,inf,-inf,",
+        "0.00000000000e+00,1.00000000000e+00,-2.50000000000e+00,"
+        "1.00000000000e-300,x"]
 
 
 def test_sweep_table_records_failures_as_nan_rows():
@@ -683,6 +718,43 @@ def test_out_flag_beats_config_and_env(tmp_path, monkeypatch):
     assert not (tmp_path / "env_dir").exists()
 
 
+def load_run(*argv):
+    """The RunConfig that ``qtransistor run *argv`` resolves."""
+    return cli._load_run_config(cli._build_parser().parse_args(["run", *argv]))
+
+
+@pytest.mark.parametrize("key, value, other, bad", (
+    ("scenario", "fig12", "fig4", "figgy"),
+    ("out", "results/a", "results/b", ""),
+    ("workers", "3", "2", "0"),
+    ("boundary", "right", "left", "middle"),
+))
+def test_a_run_flag_is_read_as_its_run_key(key, value, other, bad, capsys):
+    def run_doc(v):
+        keys = {"scenario": "fig2", key: v}
+        return "[run]\n" + "".join(f"{k} = {x}\n" for k, x in keys.items())
+
+    from_key = parse_config(run_doc(value))
+    base = "[run]\n" if key == "scenario" else "[run]\nscenario = fig2\n"
+    assert parse_config(base, flags={key: value}) == from_key
+    assert parse_config(run_doc(other), flags={key: value}) == from_key
+    argv = [] if key == "scenario" else ["--scenario", "fig2"]
+    assert load_run(*argv, f"--{key}", value) == from_key
+
+    with pytest.raises(ConfigError) as exc:
+        parse_config(run_doc(bad))
+    [in_file] = exc.value.problems
+    line = run_doc(bad).splitlines().index(f"{key} = {bad}") + 1
+    assert in_file.startswith(f"line {line}: ")
+    as_flag = f"--{key}: " + in_file.split(": ", 1)[1]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(base, flags={key: bad})
+    assert exc.value.problems == [as_flag]
+    assert cli.main(["run", *argv, f"--{key}", bad]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"invalid configuration:\n  {as_flag}\n"
+
+
 def test_partial_failure_keeps_tables_and_returns_one(tmp_path, capsys):
     cfg = tmp_path / "partial.ini"
     cfg.write_text(doc("""
@@ -780,3 +852,8 @@ def test_manifest_parameters_resolve_the_model():
     # exactly the [blp] keys: nothing the input cannot set
     assert set(params["blp_search"]) == {"grid_theta", "grid_phi",
                                          "refine_tol"}
+    # and every field of the resolved model, nested ones as dicts
+    assert set(params["base_model"]) == {"coupling", "env", "g",
+                                         "dt_collision", "sample_dt",
+                                         "stencil_h", "n_qubits"}
+    assert params["base_model"]["env"]["T_M"] == 10.0

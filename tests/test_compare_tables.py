@@ -1,5 +1,6 @@
 """The table-diff script on two small output directories."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,35 @@ def test_direction_gives_the_signed_extreme_and_the_cells_that_moved(
         "max|d|/|old| = 2.500e-01\n" \
         "    direction: extreme new - old = -1.000e+00, 1 rose, 1 fell\n" \
         in out
+
+
+def test_manifests_are_compared_key_by_key_apart_from_run_stamps(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    base = {"generated_at": "2026-01-01T00:00:00+00:00",
+            "duration_seconds": 1.5,
+            "parameters": {"overrides": {"g": 3.5}, "workers": 1},
+            "files": {"b.csv": {"sha256": "aa", "bytes": 10}}}
+
+    def manifests(changed):
+        write(old, "run/manifest.json", json.dumps(base))
+        write(new, "run/manifest.json", json.dumps({**base, **changed}))
+        return run(old, new)
+
+    code, out = manifests({"generated_at": "2026-01-02T00:00:00+00:00",
+                           "duration_seconds": 2.0})
+    assert code == 0
+    assert "run/manifest.json: equal apart from generated_at, " \
+        "duration_seconds\n" in out
+    # digests follow the CSV bytes: reported, not a different run
+    code, out = manifests({"files": {"b.csv": {"sha256": "bb",
+                                               "bytes": 10}}})
+    assert code == 0
+    assert "run/manifest.json: keys differ: files.b.csv.sha256\n" in out
+    code, out = manifests({"parameters": {"overrides": {"g": 4.0},
+                                          "boundary": "right"}})
+    assert code == 1
+    assert "run/manifest.json: keys differ: parameters.boundary, " \
+        "parameters.overrides.g, parameters.workers\n" in out
+    (new / "run" / "manifest.json").unlink()
+    code, out = run(old, new)
+    assert code == 1 and "run/manifest.json: only in" in out
