@@ -11,9 +11,12 @@ every other term of the total Hamiltonian is diagonal, so every local
 parity P_X = sz_X (x) (-1)^m_X (``model.local_parities``) commutes with
 H_tot.  H_tot splits into the 2^n sectors of their joint eigenvalues,
 all of one size: 8 sectors of 27 at the default 216 joint dimensions.
-Each sector is diagonalized once per parameter set and cached
-(eigenvalues w, eigenvectors V); the window unitary at tau is fixed by
-the phases u = exp(-i tau w).
+The sector blocks are filled straight from the entries of H_tot
+(``model.hamiltonian_entries``), all of them diagonalized in one call,
+and cached once per parameter set as eigenvalues w and eigenvectors V;
+the window unitary at tau is fixed by the phases u = exp(-i tau w).  No
+joint-space matrix is formed: everything else is read off the d_env x
+d_env sector stacks by the code that needs it.
 
 Heat currents come from the conserved-commutator form
 
@@ -38,7 +41,8 @@ tau_s = s * sample_dt after the attach, is
 
 a diagonal functional that each sector gives as
 rowsum((W_s K_X') o conj(W_s)), with W_s = V diag(conj(u_s)) and K_X' the
-generator in the sector eigenbasis.  T and c are linear in p, and bath
+generator in the sector eigenbasis, formed by the ``Propagator`` that
+reads it.  T and c are linear in p, and bath
 temperatures enter only through p, so one core serves every temperature.
 A detached X has K_X = 0 exactly, and its current is an exact zero.
 
@@ -77,7 +81,7 @@ import numpy as np
 
 from .linalg import hermitian_eig, partial_trace
 from .model import (ModelConfig, SpinOps, build_env_local_hamiltonian,
-                    build_total_hamiltonian, local_parities)
+                    hamiltonian_entries, local_parities)
 
 BOUNDARY_SIDES = ("left", "right")
 
@@ -102,44 +106,65 @@ class _Core:
     so it is diagonalized in the 2^n sectors of their joint eigenvalues.
     A qubit and its ancilla's levels split evenly between P_X = +1 and
     -1, so every sector holds d_env joint states, and the spectral data
-    are stacked over the sectors: ``index`` and ``w`` of shape
-    (d_sys, d_env), ``v`` of (d_sys, d_env, d_env) and ``current_ops`` of
-    (d_sys, n_terminals, d_env, d_env).
+    are stacked over the sectors: ``index`` (ascending joint indices) and
+    ``w`` of shape (d_sys, d_env), ``v`` of (d_sys, d_env, d_env), all
+    sectors diagonalized in one ``hermitian_eig`` call.  The joint-space
+    matrix is never formed (``_sector_hamiltonian``).
     """
 
     def __init__(self, config: ModelConfig):
-        dims = config.joint_dims()
-        self.d = int(np.prod(dims))
+        self.d = int(np.prod(config.joint_dims()))
         self.d_sys = 2 ** config.n_qubits
         self.terminals = config.system_terminals
+        self.index, blocks = _sector_hamiltonian(config)
+        self.w, self.v = hermitian_eig(blocks)
 
-        h_tot = build_total_hamiltonian(config)
-        # sector label: bit X is set where P_X = -1
-        label = 2 ** np.arange(config.n_qubits) @ \
-            (local_parities(config) < 0).astype(int)
-        if np.any(h_tot[label[:, None] != label]):
-            raise ValueError("H_tot does not commute with every local parity")
-        self.index = np.argsort(label, kind="stable").reshape(self.d_sys, -1)
-        spectra = [hermitian_eig(h_tot[np.ix_(i, i)]) for i in self.index]
-        self.w = np.stack([w for w, _ in spectra])
-        self.v = np.stack([v for _, v in spectra])
 
-        # H_X = -(omega_X / 2) sz_X is diagonal, sz_X = 1 - 2 m_X for
-        # qubit X's level m_X; the current generators
-        # K_X = i [H_X, H_tot] in a sector eigenbasis are
-        # K'_jk = i (H_X')_jk (w_k - w_j)
-        levels = np.indices(dims).reshape(len(dims), -1)
-        h_x = np.stack([-(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
-                        for i, t in enumerate(self.terminals)])
-        h_v = h_x[:, self.index].transpose(1, 0, 2)[..., None] * \
-            self.v[:, None]
-        gap = self.w[:, None, :] - self.w[:, :, None]
-        self.current_ops = 1j * (self.v.conj().swapaxes(1, 2)[:, None]
-                                 @ h_v) * gap[:, None]
-        for x, t in enumerate(self.terminals):
-            if not config.env.is_attached(t):
-                # no coupling: H_X commutes with H_tot
-                self.current_ops[:, x] = 0.0
+def _sector_hamiltonian(config: ModelConfig):
+    """H_tot's parity-sector blocks, filled straight from
+    ``model.hamiltonian_entries``: ``(index, blocks)`` with ``index[s]``
+    the ascending joint indices of sector s, shape (d_sys, d_env), and
+    ``blocks[s] = H_tot[np.ix_(index[s], index[s])]``.
+
+    A coupling entry whose two indices lie in different sectors would
+    mix them, and is refused.
+    """
+    diag, rows, cols, values = hamiltonian_entries(config)
+    # sector label: bit X is set where P_X = -1
+    label = 2 ** np.arange(config.n_qubits) @ \
+        (local_parities(config) < 0).astype(int)
+    if np.any(label[rows] != label[cols]):
+        raise ValueError("H_tot does not commute with every local parity")
+    index = np.argsort(label, kind="stable").reshape(2 ** config.n_qubits, -1)
+    position = np.empty(len(label), dtype=int)
+    position[index] = np.arange(index.shape[1])
+    # the sectors are sorted by label, so sector s holds label s
+    blocks = np.zeros(index.shape + index.shape[1:], dtype=np.complex128)
+    blocks[label, position, position] = diag
+    blocks[label[rows], position[rows], position[cols]] = values
+    return index, blocks
+
+
+def _current_generators(core: _Core, config: ModelConfig) -> list:
+    """Current generator K_X = i [H_X, H_tot] of each terminal in the
+    sector eigenbases, one (d_sys, d_env, d_env) stack per terminal.
+
+    H_X = -(omega_X / 2) sz_X is diagonal, sz_X = 1 - 2 m_X for qubit X's
+    level m_X, so K'_jk = i (H_X')_jk (w_k - w_j).  A detached X has no
+    coupling, so H_X commutes with H_tot and K_X = 0.
+    """
+    levels = np.indices(config.joint_dims()).reshape(-1, core.d)
+    gap = core.w[:, None, :] - core.w[:, :, None]
+    v_dag = core.v.conj().swapaxes(1, 2)
+    out = []
+    for i, t in enumerate(core.terminals):
+        if not config.env.is_attached(t):
+            out.append(np.zeros_like(core.v))
+            continue
+        h_x = -(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
+        out.append(1j * (v_dag @ (h_x[core.index][..., None] * core.v))
+                   * gap)
+    return out
 
 
 def _real_currents(cur: np.ndarray) -> np.ndarray:
@@ -186,21 +211,39 @@ def _mix(pieces: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _transfer(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
     """Population map T over ``tau`` for each row of ``p``, shape
-    (len(p), d_sys, d_sys), with T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2."""
-    u = _window_unitary(core, tau)
-    return _mix((u.real ** 2 + u.imag ** 2).sum(axis=1), p)
+    (len(p), d_sys, d_sys), with T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2.
+
+    Read off the sector unitaries: ``np.add.at`` adds the rows (b, f) of
+    a sector into row b one at a time, in ascending joint index, so the
+    sum over f runs in ascending order.
+    """
+    u = _sector_unitaries(core, tau)
+    n_sectors, d_env = core.index.shape
+    total = np.zeros((n_sectors, core.d_sys, d_env))
+    np.add.at(total, (np.arange(n_sectors)[:, None],
+                      core.index // (core.d // core.d_sys)),
+              u.real ** 2 + u.imag ** 2)
+    # column (a, e) of a sector is joint index a * d_anc + e
+    pieces = np.empty((core.d_sys, core.d))
+    pieces[:, core.index] = total.transpose(1, 0, 2)
+    return _mix(pieces.reshape(core.d_sys, core.d_sys, -1), p)
 
 
-def _functionals(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
+def _functionals(core: _Core, generators: list, tau: float,
+                 p: np.ndarray) -> np.ndarray:
     """Current functionals at ``tau`` into a window for each row of ``p``,
     shape (len(p), n_terminals, d_sys): J_X = F[c, X] . pi for config c
-    whose window started at the populations pi."""
+    whose window started at the populations pi.  ``generators`` are the
+    terminals' ``_current_generators``."""
     w = core.v * np.exp(1j * tau * core.w)[:, None, :]  # V diag(conj(u))
-    c = _real_currents(np.sum((w[:, None] @ core.current_ops)
-                              * w[:, None].conj(), axis=-1))
-    joint = np.empty((len(core.terminals), core.d))
-    joint[:, core.index] = c.transpose(1, 0, 2)
-    return _mix(joint.reshape(len(core.terminals), core.d_sys, -1), p)
+    w_conj = w.conj()
+    # one terminal at a time, so that no temporary outgrows one sector
+    # stack: glibc maps fresh pages for every block of 128 KiB or more
+    c = _real_currents(np.stack([np.sum((w @ k) * w_conj, axis=-1)
+                                 for k in generators]))
+    joint = np.empty((len(generators), core.d))
+    joint[:, core.index] = c
+    return _mix(joint.reshape(len(generators), core.d_sys, -1), p)
 
 
 class Propagator:
@@ -221,11 +264,12 @@ class Propagator:
         # the fresh ancillas' populations; their state is diag(p)
         p = _populations(configs)
         self.transfer = _transfer(self.core, shared.dt_collision, p)
+        generators = _current_generators(self.core, shared)
         self.functionals = np.empty((len(p), len(rows), len(self.terminals),
                                      self.core.d_sys))
         for i, s in enumerate(rows):
             self.functionals[:, i] = _functionals(
-                self.core, shared.sample_dt * s, p)
+                self.core, generators, shared.sample_dt * s, p)
 
     def collision(self, pi: np.ndarray):
         """One window from the populations ``pi``, shape (n_configs,
@@ -385,16 +429,6 @@ def _sector_unitaries(core: _Core, tau: float) -> np.ndarray:
         @ core.v.conj().swapaxes(1, 2)
 
 
-def _window_unitary(core: _Core, tau: float) -> np.ndarray:
-    """U = exp(-i tau H_tot) split as U[a, f, b, e]: system indices a, b
-    and ancilla indices f, e, so U_fe = U[:, f, :, e]."""
-    d_sys = core.d_sys
-    u = np.zeros((core.d, core.d), dtype=np.complex128)
-    u[core.index[:, :, None], core.index[:, None, :]] = \
-        _sector_unitaries(core, tau)
-    return u.reshape(d_sys, core.d // d_sys, d_sys, -1)
-
-
 class _DifferenceMaps:
     """The window channel on the difference blocks of the system state.
 
@@ -436,9 +470,14 @@ class _DifferenceMaps:
         """M_delta over ``tau`` for each delta, shape (n_deltas, d_sys,
         d_sys)."""
         u = _sector_unitaries(self.core, tau)
-        summand = u * u.reshape(-1)[self.mate].conj()
-        return self.rows @ (summand @ self.cols).reshape(
-            (len(summand),) + self.rows.shape[::-1])
+        d_sys = self.core.d_sys
+        out = np.empty((len(self.mate), d_sys, d_sys), dtype=np.complex128)
+        # one delta at a time, for the reason given in ``_functionals``
+        for i, mate in enumerate(self.mate):
+            summand = u * u.reshape(-1)[mate].conj()
+            out[i] = self.rows @ (summand @ self.cols).reshape(
+                self.rows.shape[::-1])
+        return out
 
 
 def _boltzmann_weights(config: ModelConfig, terminal: str) -> np.ndarray:

@@ -16,23 +16,30 @@ HERMITICITY_TOL = 1e-10
 
 
 class HermitianSpectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, eigenvalues ascending."""
 
-    eigenvalues: np.ndarray  # real, shape (d,)
-    eigenvectors: np.ndarray  # columns are eigenvectors, shape (d, d)
+    eigenvalues: np.ndarray  # real, shape (..., d)
+    eigenvectors: np.ndarray  # columns are eigenvectors, shape (..., d, d)
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(a: np.ndarray, name: str = "matrix",
+               stacked: bool = False) -> np.ndarray:
+    """``a`` as complex, checked to be square; with ``stacked``, a stack
+    of square matrices over any leading axes is accepted too."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    square = a.ndim >= 2 and a.shape[-2] == a.shape[-1]
+    if not square or (a.ndim > 2 and not stacked):
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a.astype(np.complex128, copy=False)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max absolute element of A - A^dagger."""
+    """Max absolute element of A - A^dagger, over every matrix of a
+    stack."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) \
+        if a.size else 0.0
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -78,18 +85,20 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int],
 
 
 def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
-    """Spectrum of a Hermitian matrix.
+    """Spectrum of a Hermitian matrix, or of each matrix of a stack
+    (shape (..., d, d)) in one ``eigh`` call.
 
-    The input is checked against the hermiticity tolerance and then
-    symmetrized as (A + A^dagger)/2 before factorization, so tiny
-    accumulated asymmetries cannot leak into the spectrum.
+    The input is checked against the hermiticity tolerance, once over the
+    whole stack, and then symmetrized as (A + A^dagger)/2 before
+    factorization, so tiny accumulated asymmetries cannot leak into the
+    spectrum.
     """
-    h = _as_square(h, "h")
+    h = _as_square(h, "h", stacked=True)
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}")
-    sym = (h + h.conj().T) / 2.0
+    sym = (h + h.conj().swapaxes(-1, -2)) / 2.0
     w, v = np.linalg.eigh(sym)
     return HermitianSpectrum(w, v)
 

@@ -226,12 +226,15 @@ def embed_pair(op1: np.ndarray, site1: int, op2: np.ndarray, site2: int,
     return kron(*factors)
 
 
-def build_system_hamiltonian(coupling: CouplingConfig,
-                             n_qubits: int = 3) -> np.ndarray:
-    """Working-substance Hamiltonian on the bare qubits.
+def system_energies(coupling: CouplingConfig,
+                    n_qubits: int = 3) -> np.ndarray:
+    """Diagonal of the working-substance Hamiltonian on the bare qubits.
 
     H = -sum_i (omega_i / 2) sz_i  -  sum_pairs omega_ij sz_i sz_j
-    with one term per unordered pair.
+    with one term per unordered pair.  H is diagonal in the product
+    basis, so each term is read off the qubits' sz = +/-1 levels; the
+    terms are subtracted in the order above, which gives the diagonal of
+    the sum of ``embed`` products bit for bit.
     """
     if n_qubits == 3:
         order = ("L", "M", "R")
@@ -246,15 +249,21 @@ def build_system_hamiltonian(coupling: CouplingConfig,
     else:
         raise ValueError(f"n_qubits must be 2 or 3, got {n_qubits}")
 
-    dims = [2] * n_qubits
     idx = {t: i for i, t in enumerate(order)}
-    sz = SpinOps.sz_half
-    h = np.zeros((2 ** n_qubits, 2 ** n_qubits), dtype=np.complex128)
+    sz = 1.0 - 2.0 * np.indices([2] * n_qubits).reshape(n_qubits, -1)
+    e = np.zeros(2 ** n_qubits)
     for t, omega in zip(order, splittings):
-        h -= (omega / 2.0) * embed(sz, idx[t], dims)
+        e -= (omega / 2.0) * sz[idx[t]]
     for a, b, omega in pairs:
-        h -= omega * embed_pair(sz, idx[a], sz, idx[b], dims)
-    return h
+        e -= omega * (sz[idx[a]] * sz[idx[b]])
+    return e
+
+
+def build_system_hamiltonian(coupling: CouplingConfig,
+                             n_qubits: int = 3) -> np.ndarray:
+    """Working-substance Hamiltonian on the bare qubits, a diagonal
+    matrix; see ``system_energies``."""
+    return np.diag(system_energies(coupling, n_qubits)).astype(np.complex128)
 
 
 def build_env_local_hamiltonian(env: EnvSpec) -> np.ndarray:
@@ -321,37 +330,52 @@ def local_parities(config: ModelConfig) -> np.ndarray:
     return out
 
 
-def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:
-    """H_sys + sum of ancilla Hamiltonians + interaction, joint space.
+def hamiltonian_entries(config: ModelConfig):
+    """H_sys + sum of ancilla Hamiltonians + interaction, as the entries
+    of H_tot on the joint space: ``(diagonal, rows, cols, values)``.
 
-    Built without Kronecker products: the diagonal is H_sys's diagonal
-    plus each ancilla's level energy, read off the levels of each joint
-    index, and each -g sx (x) Sx entry is placed by index arithmetic.
-    The sums run in the order of kron(H_sys, I) + sum embed(h_env) +
-    ``build_interaction_hamiltonian``, which the result equals element
-    for element.
+    The diagonal is H_sys's diagonal plus each ancilla's level energy,
+    read off the levels of each joint index.  Every other entry is one
+    -g sx (x) Sx term, placed by index arithmetic: H_tot[rows[i],
+    cols[i]] = values[i], each position once.  The sums run in the order
+    of kron(H_sys, I) + sum embed(h_env) + ``build_interaction_hamiltonian``,
+    so the entries are that sum's, element for element.
     """
     n = config.n_qubits
     dims = config.joint_dims()
     d = int(np.prod(dims))
     levels = np.indices(dims).reshape(len(dims), -1)
     strides = d // np.cumprod(dims)
-    diag = np.repeat(np.diagonal(
-        build_system_hamiltonian(config.coupling, n)).real, d // 2 ** n)
+    diag = np.repeat(system_energies(config.coupling, n), d // 2 ** n)
     e_env = np.diagonal(build_env_local_hamiltonian(config.env)).real
     for k in range(len(config.attached_terminals)):
         diag += e_env[levels[n + k]]
 
-    h = np.zeros((d, d), dtype=np.complex128)
-    h[np.arange(d), np.arange(d)] = diag
     sx_env = SpinOps.sx_half if config.env.kind == "qubit" \
         else SpinOps.sx_one
+    rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
+    values = [np.zeros(0, np.complex128)]
     for k, t in enumerate(config.attached_terminals):
         q, slot = config.system_terminals.index(t), n + k
         # sx flips qubit q; Sx takes the ancilla from level m to m2
         flip = strides[q] * (1 - 2 * levels[q])
         for m, m2 in zip(*np.nonzero(sx_env)):
-            rows = np.flatnonzero(levels[slot] == m)
-            cols = rows + flip[rows] + strides[slot] * (m2 - m)
-            h[rows, cols] -= config.g * sx_env[m, m2]
+            r = np.flatnonzero(levels[slot] == m)
+            rows.append(r)
+            cols.append(r + flip[r] + strides[slot] * (m2 - m))
+            # 0 - g sx Sx: the entry a sum started from zero holds,
+            # signed zeros included
+            values.append(np.full(len(r), 0.0 - config.g * sx_env[m, m2]))
+    return diag, np.concatenate(rows), np.concatenate(cols), \
+        np.concatenate(values)
+
+
+def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:
+    """H_tot as a dense d x d matrix, assembled from
+    ``hamiltonian_entries``."""
+    diag, rows, cols, values = hamiltonian_entries(config)
+    d = len(diag)
+    h = np.zeros((d, d), dtype=np.complex128)
+    h[np.arange(d), np.arange(d)] = diag
+    h[rows, cols] = values
     return h

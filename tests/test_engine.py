@@ -1,5 +1,6 @@
 """Collision propagation against brute-force references."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 
 from qtransistor import engine
 from qtransistor import linalg as la
-from qtransistor.engine import (Propagator, Trajectory, _Core, _populations,
-                                _window_unitary, evolve, initial_state,
+from qtransistor import model
+from qtransistor.engine import (Propagator, Trajectory, _Core,
+                                _current_generators, _populations,
+                                _sector_hamiltonian, _sector_unitaries,
+                                _transfer, evolve, initial_state,
                                 local_heat_current, sample_currents,
                                 sample_states)
+from qtransistor.metrics import sweep
 from qtransistor.model import (ENV_KINDS, ModelConfig, SpinOps,
                                ancilla_thermal_state,
                                build_total_hamiltonian, embed, embed_pair)
@@ -330,6 +335,15 @@ CHANNEL_MODELS = {
 }
 
 
+def scattered_unitary(core, tau):
+    """The core's sector unitaries placed on the joint space: the dense
+    exp(-i tau H_tot), zero between sectors."""
+    u = np.zeros((core.d, core.d), dtype=np.complex128)
+    u[core.index[:, :, None], core.index[:, None, :]] = \
+        _sector_unitaries(core, tau)
+    return u
+
+
 @pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
 def test_window_unitary_matches_dense_exponential(name):
     # the core's parity sectors against exp(-i tau H_tot) of the full H
@@ -339,8 +353,52 @@ def test_window_unitary_matches_dense_exponential(name):
     # the stacked sector indices cover the joint space once
     assert np.array_equal(np.sort(core.index, axis=None), np.arange(len(h)))
     for tau in (cfg.sample_dt, cfg.dt_collision):
-        u = _window_unitary(core, tau).reshape(h.shape)
+        u = scattered_unitary(core, tau)
         assert np.max(np.abs(u - la.unitary_exp(h, tau))) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_sector_blocks_are_the_dense_hamiltonian_bit_for_bit(name):
+    cfg = CHANNEL_MODELS[name]
+    index, blocks = _sector_hamiltonian(cfg)
+    h = build_total_hamiltonian(cfg)
+    inside = np.zeros(h.shape, dtype=bool)
+    for i, block in zip(index, blocks):
+        assert np.array_equal(block, h[np.ix_(i, i)])
+        inside[np.ix_(i, i)] = True
+    # the dense H has no entry between two sectors
+    assert np.count_nonzero(h[~inside]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_stacked_sector_spectra_equal_the_per_block_ones(name):
+    _, blocks = _sector_hamiltonian(CHANNEL_MODELS[name])
+    w, v = la.hermitian_eig(blocks)
+    for block, w_block, v_block in zip(blocks, w, v):
+        alone = la.hermitian_eig(block)
+        assert np.array_equal(alone.eigenvalues, w_block)
+        assert np.array_equal(alone.eigenvectors, v_block)
+    broken = blocks.copy()
+    broken[-1, -1, 0] += 1e-6j  # one entry of one block only
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.hermitian_eig(broken)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
+def test_transfer_equals_the_dense_unitary_sum_bit_for_bit(name):
+    # T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2 on the dense U, f summed
+    # by numpy along its axis
+    cfg = CHANNEL_MODELS[name]
+    core = _Core(cfg)
+    d_sys, d_anc = core.d_sys, core.d // core.d_sys
+    u = scattered_unitary(core, cfg.dt_collision)
+    dense = (u.real ** 2 + u.imag ** 2).reshape(
+        d_sys, d_anc, d_sys, d_anc).sum(axis=1)
+    each = _transfer(core, cfg.dt_collision, np.eye(d_anc))
+    assert np.array_equal(each, dense.transpose(2, 0, 1))
+    hot = [cfg.replace(T_L=0.4, T_M=9.0, T_R=3.0), cfg]
+    assert np.array_equal(Propagator(hot, [0]).transfer,
+                          engine._mix(dense, _populations(hot)))
 
 
 def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
@@ -350,13 +408,46 @@ def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
     # L with Sx on M's ancilla keeps the global parity but flips P_L, P_M
     extras = [embed(SpinOps.sx_half, site, dims) for site in range(3)]
     extras.append(embed_pair(SpinOps.sx_half, 0, SpinOps.sx_one, 4, dims))
+    entries = model.hamiltonian_entries
     for extra in extras:
         def with_extra(config, extra=extra):
-            return build_total_hamiltonian(config) + 0.1 * extra
+            diag, rows, cols, values = entries(config)
+            more_rows, more_cols = np.nonzero(extra)
+            return (diag, np.concatenate([rows, more_rows]),
+                    np.concatenate([cols, more_cols]),
+                    np.concatenate([values,
+                                    0.1 * extra[more_rows, more_cols]]))
 
-        monkeypatch.setattr(engine, "build_total_hamiltonian", with_extra)
+        monkeypatch.setattr(engine, "hamiltonian_entries", with_extra)
         with pytest.raises(ValueError, match="parity"):
             _Core(cfg)
+
+
+def test_engine_paths_never_build_the_dense_hamiltonian(monkeypatch):
+    def refuse(config):
+        raise AssertionError("the dense H_tot was built")
+
+    # wherever the package holds the builder, imported by name or not
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qtransistor") and \
+                hasattr(module, "build_total_hamiltonian"):
+            monkeypatch.setattr(module, "build_total_hamiltonian", refuse)
+    shapes, eig = [], engine.hermitian_eig
+
+    def recorded(h):
+        shapes.append(np.shape(h))
+        return eig(h)
+
+    monkeypatch.setattr(engine, "hermitian_eig", recorded)
+    engine._cached_core.cache_clear()
+    cfg = coarse()
+    for result in (sweep(cfg, "g", [3.9, 4.1], t=1.0),
+                   sweep(cfg, "T_M", [5.0, 7.5], t=1.0)):
+        assert not any(result.errors)
+    states = sample_states(cfg.replace(g=3.7), [None], 1.0)
+    assert np.isfinite(states).all()
+    # one stacked call per core, on the 8 sectors of 27 only
+    assert shapes == [(8, 27, 27)] * 4
 
 
 @pytest.mark.parametrize("name", sorted(CHANNEL_MODELS))
@@ -567,7 +658,8 @@ def test_fresh_ancilla_product_is_exactly_diagonal(kind):
 
 
 def test_core_keeps_its_spectral_data_per_parity_sector():
-    core = Propagator([ModelConfig.default()], [0]).core
+    cfg = ModelConfig.default()
+    core = Propagator([cfg], [0]).core
 
     def root(a):
         while a.base is not None:
@@ -576,13 +668,14 @@ def test_core_keeps_its_spectral_data_per_parity_sector():
 
     arrays = [a for a in vars(core).values() if isinstance(a, np.ndarray)]
     buffers = {id(root(a)): root(a) for a in arrays}
-    n_terms = len(core.terminals)
     # stacked over the sectors: one row of each array per sector
     assert core.index.shape == core.w.shape == (8, 27)
     assert core.v.shape == (8, 27, 27)
-    assert core.current_ops.shape == (8, n_terms, 27, 27)
     sizes = [len(index) for index in core.index]
-    # per sector of size n: its indices, w, V and one current generator
-    # per terminal, each n x n
+    # per sector of size n: its indices, w and V, n x n
     assert sum(b.nbytes for b in buffers.values()) == \
-        sum(2 * n * 8 + (1 + n_terms) * n * n * 16 for n in sizes) == 376704
+        sum(2 * n * 8 + n * n * 16 for n in sizes) == 96768
+    # the current generators are built by the Propagator that reads them,
+    # one sector stack per terminal
+    generators = _current_generators(core, cfg)
+    assert [k.shape for k in generators] == [(8, 27, 27)] * 3

@@ -296,9 +296,9 @@ def test_sweeps_never_fall_back_to_per_window_evolution(monkeypatch):
 
     functionals, taus = engine._functionals, []
 
-    def counted(core, tau, p):
+    def counted(core, generators, tau, p):
         taus.append(tau)
-        return functionals(core, tau, p)
+        return functionals(core, generators, tau, p)
 
     monkeypatch.setattr(engine, "evolve", refuse)
     monkeypatch.setattr(engine, "_functionals", counted)

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.model import (ENV_KINDS, CouplingConfig, EnvSpec,
-                               ModelConfig, SpinOps, ancilla_thermal_state,
+from qtransistor.model import (COUPLING_PRESETS, ENV_KINDS, CouplingConfig,
+                               EnvSpec, ModelConfig, SpinOps,
+                               ancilla_thermal_state,
                                build_env_local_hamiltonian,
                                build_interaction_hamiltonian,
                                build_system_hamiltonian,
                                build_total_hamiltonian, embed, embed_pair,
-                               local_parities)
+                               local_parities, system_energies)
 from test_engine import small_models
 
 
@@ -58,6 +59,34 @@ def test_asymmetric_preset_breaks_swap_symmetry():
     h = build_system_hamiltonian(CouplingConfig.preset("asymmetric"))
     p = swap_LR_3q()
     assert np.max(np.abs(p @ h @ p.T - h)) > 0.1
+
+
+def embed_system_hamiltonian(coupling, n_qubits):
+    """H_sys as a sum of embedded sz and sz sz products, term by term."""
+    order = ("L", "M", "R") if n_qubits == 3 else ("L", "R")
+    pairs = [("M", "L"), ("M", "R"), ("L", "R")] if n_qubits == 3 \
+        else [("L", "R")]
+    omega = {"L": coupling.omega_L, "M": coupling.omega_M,
+             "R": coupling.omega_R, "ML": coupling.omega_ML,
+             "MR": coupling.omega_MR, "LR": coupling.omega_LR}
+    dims, sz = [2] * n_qubits, SpinOps.sz_half
+    h = np.zeros((2 ** n_qubits,) * 2, dtype=np.complex128)
+    for i, t in enumerate(order):
+        h -= (omega[t] / 2.0) * embed(sz, i, dims)
+    for a, b in pairs:
+        h -= omega[a + b] * embed_pair(sz, order.index(a), sz,
+                                       order.index(b), dims)
+    return h
+
+
+@pytest.mark.parametrize("n_qubits", (2, 3))
+@pytest.mark.parametrize("preset", COUPLING_PRESETS)
+def test_system_hamiltonian_equals_its_embed_form(preset, n_qubits):
+    coupling = CouplingConfig.preset(preset)
+    h = build_system_hamiltonian(coupling, n_qubits)
+    assert np.array_equal(h, embed_system_hamiltonian(coupling, n_qubits))
+    assert np.array_equal(system_energies(coupling, n_qubits),
+                          np.diagonal(h).real)
 
 
 def test_baseline_preset_values():
