@@ -293,26 +293,6 @@ def ancilla_thermal_state(env: EnvSpec, terminal: str) -> np.ndarray:
     return thermal_state(build_env_local_hamiltonian(env), 1.0 / T)
 
 
-def build_interaction_hamiltonian(g: float, env: EnvSpec,
-                                  n_qubits: int = 3) -> np.ndarray:
-    """System-ancilla coupling on the joint space.
-
-    H_int = -g sum over attached terminals of sx_qubit sx_ancilla,
-    with ancilla slots ordered like their terminals.
-    """
-    order = TERMINALS if n_qubits == 3 else ("L", "R")
-    attached = [t for t in order if env.is_attached(t)]
-    dims = [2] * n_qubits + [env.ancilla_dim] * len(attached)
-    d = int(np.prod(dims))
-    h = np.zeros((d, d), dtype=np.complex128)
-    sx_env = SpinOps.sx_half if env.kind == "qubit" else SpinOps.sx_one
-    idx = {t: i for i, t in enumerate(order)}
-    for k, t in enumerate(attached):
-        h -= g * embed_pair(SpinOps.sx_half, idx[t], sx_env,
-                            n_qubits + k, dims)
-    return h
-
-
 def local_parities(config: ModelConfig) -> np.ndarray:
     """Diagonals of the local parities P_X = sz_X (x) (-1)^m_X, shape
     (n_qubits, d), one row per qubit in ``system_terminals`` order.
@@ -338,8 +318,10 @@ def hamiltonian_entries(config: ModelConfig):
     read off the levels of each joint index.  Every other entry is one
     -g sx (x) Sx term, placed by index arithmetic: H_tot[rows[i],
     cols[i]] = values[i], each position once.  The sums run in the order
-    of kron(H_sys, I) + sum embed(h_env) + ``build_interaction_hamiltonian``,
-    so the entries are that sum's, element for element.
+    of kron(H_sys, I) + sum embed(h_env) + H_int, the kron reference in
+    the tests (``kron_total_hamiltonian``, with H_int from their
+    ``build_interaction_hamiltonian``), so the entries are that sum's,
+    element for element.
     """
     n = config.n_qubits
     dims = config.joint_dims()

@@ -14,16 +14,27 @@ written after every CSV and thereby doubles as the completion marker of a run.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import BLAS_THREADS, __version__, metrics
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to when
+# it is built without OpenSSL: the same digest, and no run maps libcrypto
+# (about 3.5 MB resident) only to checksum its tables.
+try:
+    from _sha2 import sha256 as _sha256         # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256   # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "U_TIME", "U_TEMP", "U_NONE", "U_CURRENT", "U_DERIV",
@@ -82,34 +93,49 @@ def sweep_table(result: metrics.SweepResult, stem: str,
                  errors=list(result.errors))
 
 
-def render_table(table: Table) -> str:
+def _csv_lines(table: Table) -> Iterator[str]:
+    """The CSV of ``table``, one newline-terminated line at a time.
+
+    Every row's width and the error count are checked when this is
+    called, before any line is produced, so a bad table raises before a
+    file is opened.
+    """
     if len(table.rows) != len(table.errors):
         raise ValueError("one error entry per row required")
-    header = "# " + ",".join(f"{n}({u})" for n, u in table.columns)
-    lines = [header + ",error"]
     width = len(table.columns)
-    line = "%.11e," * width + "%s"
-    for row, err in zip(table.rows, table.errors):
+    for row in table.rows:
         if len(row) != width:
             raise ValueError(
                 f"row width {len(row)} != {width} columns in {table.stem}")
-        # + 0.0 turns -0.0 into 0.0: an exact zero is written unsigned;
-        # errors may not introduce extra separators
-        lines.append(line % (*[v + 0.0 for v in row],
-                             err.replace(",", ";").replace("\n", " ")))
-    return "\n".join(lines) + "\n"
+    header = "# " + ",".join(f"{n}({u})" for n, u in table.columns)
+    line = "%.11e," * width + "%s\n"
+    # + 0.0 turns -0.0 into 0.0: an exact zero is written unsigned;
+    # errors may not introduce extra separators
+    rows = (line % (*[v + 0.0 for v in row],
+                    err.replace(",", ";").replace("\n", " "))
+            for row, err in zip(table.rows, table.errors))
+    return itertools.chain((header + ",error\n",), rows)
+
+
+def render_table(table: Table) -> str:
+    return "".join(_csv_lines(table))
 
 
 def write_table(table: Table, out_dir: Path) -> Path:
+    """Stream ``table`` into ``out_dir/<stem>.csv``; the file's bytes are
+    ``render_table``'s, and the whole text is never held at once."""
+    lines = _csv_lines(table)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{table.stem}.csv"
-    path.write_text(render_table(table), encoding="utf-8")
+    # the encoding and newline handling of Path.write_text
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     return path
 
 
 def file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)

@@ -1,5 +1,7 @@
 """Config documents, CSV/manifest output, and the command-line runner."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -392,6 +394,91 @@ def test_write_table_and_manifest(tmp_path):
     entry = data["files"]["demo.csv"]
     assert entry["sha256"] == file_sha256(path)
     assert entry["bytes"] == path.stat().st_size
+
+
+# one payload per 64 KiB read-chunk edge of ``file_sha256``
+DIGEST_SIZES = (0, 1, 65535, 65536, 65537, 300000)
+
+
+@pytest.mark.parametrize("size", DIGEST_SIZES)
+def test_file_sha256_equals_hashlib(tmp_path, size):
+    data = bytes(i * 7 % 251 for i in range(size))
+    path = tmp_path / "payload.bin"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_file_sha256_of_a_written_table_equals_hashlib(tmp_path):
+    tb = Table("demo", [("x", "t̃"), ("y", "u")],
+               [[float(i), -0.5 * i] for i in range(50)], [""] * 50)
+    path = write_table(tb, tmp_path)
+    assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_file_sha256_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # a build without CPython's own SHA-256 modules reads hashlib's;
+    # a fresh copy of the module is run so the imported one stays as is
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.find_spec("qtransistor.output")
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback._sha256 is hashlib.sha256
+    data = bytes(range(256)) * 300
+    path = tmp_path / "payload.bin"
+    path.write_bytes(data)
+    assert fallback.file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # pytest imports hashlib itself, so the run needs its own interpreter
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_DOC.replace("step = 0.5", "step = 1.0"),
+                   encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = textwrap.dedent(f"""
+        import json, sys
+        from qtransistor import cli
+        assert cli.main({argv!r}) == 0
+        crypto = []
+        if sys.platform.startswith("linux"):
+            with open("/proc/self/maps") as fh:
+                crypto = [line for line in fh if "libcrypto" in line]
+        print(json.dumps([[m for m in ("_hashlib", "hashlib", "_blake2")
+                           if m in sys.modules], crypto]))
+        """)
+    modules, maps = json.loads(fresh_python(["-c", script]).splitlines()[-1])
+    assert modules == [] and maps == []
+    assert len((tmp_path / "out" / "sweep_T_M.csv").read_text(
+        encoding="utf-8").splitlines()) == 3
+
+
+def test_write_table_streams_the_rendered_bytes(tmp_path):
+    tb = Table("edge", [("a", "t̃"), ("b", "u"), ("c", "u"), ("d", "u")],
+               [[-0.0, float("nan"), float("inf"), -float("inf")],
+                [1.0, -0.0, 2.5e-300, 3.0]],
+               ["", "RuntimeError: bad, very\nbad"])
+    path = write_table(tb, tmp_path)
+    assert path.read_bytes() == render_table(tb).encode("utf-8")
+    assert path.read_bytes().count(b"\n") == 3
+
+
+BAD_TABLES = {
+    "ragged": Table("bad", [("x", "u")], [[1.0], [1.0, 2.0]], ["", ""]),
+    "error count": Table("bad", [("x", "u")], [[1.0]], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_write_table_rejects_a_bad_table_before_writing(tmp_path, name):
+    with pytest.raises(ValueError):
+        write_table(BAD_TABLES[name], tmp_path / "new")
+    assert not (tmp_path / "new" / "bad.csv").exists()
+    existing = tmp_path / "bad.csv"
+    existing.write_bytes(b"earlier run\n")
+    with pytest.raises(ValueError):
+        write_table(BAD_TABLES[name], tmp_path)
+    assert existing.read_bytes() == b"earlier run\n"
 
 
 # -------------------------------------------------------------- registry

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransistor import linalg as la
-from qtransistor.model import (COUPLING_PRESETS, ENV_KINDS, CouplingConfig,
-                               EnvSpec, ModelConfig, SpinOps,
+from qtransistor.model import (COUPLING_PRESETS, ENV_KINDS, TERMINALS,
+                               CouplingConfig, EnvSpec, ModelConfig, SpinOps,
                                ancilla_thermal_state,
                                build_env_local_hamiltonian,
-                               build_interaction_hamiltonian,
                                build_system_hamiltonian,
                                build_total_hamiltonian, embed, embed_pair,
                                local_parities, system_energies)
@@ -258,6 +257,27 @@ def test_total_hamiltonian_commutes_exactly_with_the_parity(
             assert set(p) == {1.0, -1.0}
             # H diag(P) - diag(P) H, elementwise
             assert np.count_nonzero(h * p - p[:, None] * h) == 0
+
+
+def build_interaction_hamiltonian(g: float, env: EnvSpec,
+                                  n_qubits: int = 3) -> np.ndarray:
+    """System-ancilla coupling on the joint space, one kron product per
+    attached terminal; the reference for ``hamiltonian_entries``.
+
+    H_int = -g sum over attached terminals of sx_qubit sx_ancilla,
+    with ancilla slots ordered like their terminals.
+    """
+    order = TERMINALS if n_qubits == 3 else ("L", "R")
+    attached = [t for t in order if env.is_attached(t)]
+    dims = [2] * n_qubits + [env.ancilla_dim] * len(attached)
+    d = int(np.prod(dims))
+    h = np.zeros((d, d), dtype=np.complex128)
+    sx_env = SpinOps.sx_half if env.kind == "qubit" else SpinOps.sx_one
+    idx = {t: i for i, t in enumerate(order)}
+    for k, t in enumerate(attached):
+        h -= g * embed_pair(SpinOps.sx_half, idx[t], sx_env,
+                            n_qubits + k, dims)
+    return h
 
 
 def kron_total_hamiltonian(cfg):
