@@ -1,0 +1,85 @@
+"""Peak resident memory of one ``qtransistor run`` process, stage by stage.
+
+    python scripts/rss_stages.py WORKLOAD SEED
+
+Generates the program inputs of benchmark workload WORKLOAD for SEED with
+``perfbench/workloads.py`` and runs them in this one fresh process, as
+``qtransistor run`` would: import numpy, import ``qtransistor.cli``,
+compute the tables, then write them and their manifest into a temporary
+directory.  After each stage, the interpreter's start included, it prints
+the stage and the process's peak resident memory so far (``VmHWM`` of
+``/proc/self/status``, so Linux only), in MB of 2^20 bytes, the unit of
+the benchmark's ``peak_rss_mb``.
+
+Importing ``qtransistor`` first sets ``OPENBLAS_NUM_THREADS=1`` unless it
+is exported; numpy is imported first here, so the script applies the same
+default before that import, and the process runs BLAS as a command-line
+run does.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def peak_mb() -> float:
+    """``VmHWM`` of this process, in MB of 2^20 bytes."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise OSError("no VmHWM line in /proc/self/status")
+
+
+def run_stages(inputs, out_dir: Path) -> list:
+    """Run ``inputs`` (a ``workloads.Inputs``) with its tables written
+    under ``out_dir``: [(stage, peak MB)] after each stage."""
+    stages = [("interpreter start", peak_mb())]
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy  # noqa: F401
+    stages.append(("import numpy", peak_mb()))
+    sys.path.insert(0, str(ROOT / "src"))
+    from qtransistor import cli
+    from qtransistor.config import manifest_parameters, run_tables
+    from qtransistor.output import write_manifest, write_table
+    stages.append(("import qtransistor.cli", peak_mb()))
+
+    ini = out_dir / "run.ini"
+    ini.write_text(inputs.ini, encoding="utf-8")
+    args = cli._build_parser().parse_args(
+        inputs.argv(str(ini), str(out_dir / "out")))
+    t0 = time.perf_counter()
+    rc = cli._load_run_config(args)
+    tables = run_tables(rc)
+    stages.append(("after compute", peak_mb()))
+    out = cli._resolve_out_dir(rc)
+    paths = [write_table(tb, out) for tb in tables]
+    write_manifest(out, parameters=manifest_parameters(rc), files=paths,
+                   duration_seconds=time.perf_counter() - t0,
+                   failed_points=sum(tb.failed_rows for tb in tables))
+    stages.append(("after the tables", peak_mb()))
+    return stages
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    inputs = workloads.generate(argv[0], int(argv[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        stages = run_stages(inputs, Path(tmp))
+    for name, mb in stages:
+        print(f"{name:<24}{mb:8.2f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,8 +54,8 @@ that share H_tot, and ``collision`` steps them all one window.
 diagonal of its initial state.  Every product is taken per config, so a
 config reads the same bits alone or in a batch, at any subset of times.
 
-``sample_states`` returns whole system states, coherences included, for
-the backflow search.  The window channel
+System states, coherences included, come from one carry.  The window
+channel
 
     rho_{n+1} = sum_{f,e} p_e U_fe rho_n U_fe^dagger,
 
@@ -66,8 +66,11 @@ unitaries; M_0 is T.  A state is carried from window to window as the
 blocks its initial state occupies: the populations and the probed
 qubit's coherences for a BLP probe, all 2^n blocks for a general rho.
 The sample at row s of a window is the maps at tau_s applied to the
-blocks at the window's start.  ``evolve(store_states=True)`` stores
-those states.
+blocks at the window's start (``_carried_blocks``).  Two readers take
+the carried blocks: ``sample_states`` scatters them into whole states,
+which ``evolve(store_states=True)`` stores, and ``sample_marginals``
+sums them into one qubit's 2 x 2 marginal, which is all the backflow
+search reads, so it never holds a whole state.
 """
 
 from __future__ import annotations
@@ -457,9 +460,10 @@ class _DifferenceMaps:
         partner = sector[flipped[..., :1, None]]  # one per delta, sector
         perm = position[flipped]  # (n_deltas, n_sectors, d_env)
         # U_partner[perm, perm] as flat indices into the stacked sector
-        # unitaries, shape (n_deltas, n_sectors, d_env, d_env)
-        self.mate = (partner * d_env + perm[..., :, None]) * d_env \
-            + perm[..., None, :]
+        # unitaries, one (n_sectors, d_env, d_env) table per delta, so
+        # that no table outgrows one sector stack (see ``_functionals``)
+        self.mate = [(k * d_env + j[:, :, None]) * d_env + j[:, None, :]
+                     for k, j in zip(partner, perm)]
         self.core = core
         gather = (system[:, None, :] == np.arange(core.d_sys)[:, None]
                   ).astype(np.complex128)  # (n_sectors, d_sys, d_env)
@@ -474,7 +478,8 @@ class _DifferenceMaps:
         out = np.empty((len(self.mate), d_sys, d_sys), dtype=np.complex128)
         # one delta at a time, for the reason given in ``_functionals``
         for i, mate in enumerate(self.mate):
-            summand = u * u.reshape(-1)[mate].conj()
+            summand = np.take(u, mate)
+            np.multiply(u, np.conjugate(summand, out=summand), out=summand)
             out[i] = self.rows @ (summand @ self.cols).reshape(
                 self.rows.shape[::-1])
         return out
@@ -520,8 +525,62 @@ def _populations(configs) -> np.ndarray:
     return np.stack(rows)
 
 
-def _hermitized(states: np.ndarray) -> np.ndarray:
-    return (states + states.conj().swapaxes(-1, -2)) / 2.0
+def _occupied_deltas(rho: np.ndarray) -> np.ndarray:
+    """The differences delta, ascending, of the blocks rho[a, a ^ delta]
+    that some state of the stack ``rho`` occupies."""
+    a = np.arange(rho.shape[-1])
+    return np.flatnonzero([np.any(rho[:, a, a ^ delta]) for delta in a])
+
+
+def _carried_blocks(config: ModelConfig, rho: np.ndarray,
+                    deltas: np.ndarray, n_col: int):
+    """The one window-to-window carry of the states ``rho``, on their
+    difference blocks ``deltas``.
+
+    Yields ``(samples, blocks)``: a slice of the sample axis, and the
+    blocks x_delta[a] = rho[a, a ^ delta] of every state at those
+    samples, shape (len(rho), n_read, len(deltas), d).  The blocks are
+    those of the Hermitian part (rho + rho^dagger) / 2, so every state
+    read is Hermitian and a window starts from Hermitian blocks.  The
+    window starts come first, t = 0 included, then each row s of every
+    window: the maps at tau_s = s * sample_dt applied to the blocks at
+    the window's start.
+    """
+    steps, d_sys = config.samples_per_collision, rho.shape[-1]
+    # block entry x_delta[a] = rho[a, a ^ delta] is the conjugate-transpose
+    # partner of entry a ^ delta of the same block
+    block = np.arange(len(deltas))[:, None]
+    column = np.arange(d_sys) ^ deltas[:, None]
+
+    def hermitized(blocks: np.ndarray) -> np.ndarray:
+        # (x_delta[a] + conj(x_delta[a ^ delta])) / 2
+        return (blocks + blocks[..., block, column].conj()) / 2.0
+
+    starts = np.empty((len(rho), n_col + 1, len(deltas), d_sys),
+                      dtype=np.complex128)
+    starts[:, 0] = hermitized(rho[:, np.arange(d_sys), column])
+    if n_col:
+        maps = _DifferenceMaps(_core_for(config), deltas,
+                               _populations([config])[0])
+        step = maps.at(config.dt_collision)
+        for n in range(n_col):
+            starts[:, n + 1] = hermitized((step @ starts[:, n, ..., None])
+                                          [..., 0])
+    yield slice(None, None, steps), starts
+    if not n_col:
+        return
+    for s in range(1, steps):
+        yield slice(s, None, steps), hermitized(
+            (maps.at(config.sample_dt * s) @ starts[:, :-1, ..., None])
+            [..., 0])
+
+
+def _sampled_initials(config: ModelConfig, initials, t_max: float):
+    """(checked initial states stacked, number of windows, number of
+    samples) of a run of ``initials`` up to ``t_max``."""
+    n_col = _whole_windows(config, t_max)
+    rho = np.stack([_system_initial(config, r) for r in initials])
+    return rho, n_col, n_col * config.samples_per_collision + 1
 
 
 def sample_states(config: ModelConfig, initials,
@@ -534,38 +593,74 @@ def sample_states(config: ModelConfig, initials,
     difference blocks x_delta[a] = rho[a, a ^ delta], each on its own
     d x d map (``_DifferenceMaps``), and the sample at row s of a window
     is the maps at tau_s = s * sample_dt applied to the blocks at the
-    window's start.  Only the blocks that some initial state occupies are
-    carried; every other entry stays exactly 0.
+    window's start (``_carried_blocks``).  Only the blocks that some
+    initial state occupies are carried; every other entry stays exactly
+    0.  Each state is the Hermitian part of the carried one.
     """
-    n_col = _whole_windows(config, t_max)
-    rho = np.stack([_system_initial(config, r) for r in initials])
-    core = _core_for(config)
-    steps, d_sys = config.samples_per_collision, core.d_sys
-    out = np.empty((len(rho), n_col * steps + 1, d_sys, d_sys),
-                   dtype=np.complex128)
-    out[:, 0] = rho
-    if not n_col:
-        return out
+    rho, n_col, n_samples = _sampled_initials(config, initials, t_max)
+    d_sys = rho.shape[-1]
+    deltas = _occupied_deltas(rho)
     a = np.arange(d_sys)
-    deltas = np.flatnonzero([np.any(rho[:, a, a ^ delta])
-                             for delta in range(d_sys)])
-    column = a ^ deltas[:, None]  # of each block entry
-    maps = _DifferenceMaps(core, deltas, _populations([config])[0])
+    column = a ^ deltas[:, None]
+    out = np.zeros((len(rho), n_samples, d_sys, d_sys), dtype=np.complex128)
+    for samples, blocks in _carried_blocks(config, rho, deltas, n_col):
+        out[:, samples, a, column] = blocks
+    return out
 
-    def states(blocks: np.ndarray) -> np.ndarray:
-        full = np.zeros(blocks.shape[:-2] + (d_sys, d_sys),
-                        dtype=np.complex128)
-        full[..., a, column] = blocks
-        return _hermitized(full)
 
-    step = maps.at(config.dt_collision)
-    for n in range(1, n_col + 1):
-        blocks = out[:, (n - 1) * steps][:, a, column]
-        out[:, n * steps] = states((step @ blocks[..., None])[..., 0])
-    starts = out[:, :-1:steps][:, :, a, column]
-    for s in range(1, steps):
-        out[:, s::steps] = states(
-            (maps.at(config.sample_dt * s) @ starts[..., None])[..., 0])
+def sample_marginals(config: ModelConfig, initials, sites,
+                     t_max: float) -> np.ndarray:
+    """Marginal of qubit ``sites[i]`` of the system state that
+    ``sample_states`` gives from ``initials[i]``, at every sample up to
+    ``t_max``: shape (len(initials), n_samples, 2, 2).
+
+    Read straight off the carried difference blocks (``_carried_blocks``),
+    so no whole system state is formed.  With b the site's bit of the
+    system label, the populations are the delta = 0 block summed over
+    the labels with b clear and with b set, and the coherence <0|.|1> is
+    the delta = b block summed over the labels with b clear; each sum
+    runs over ascending labels, so the marginals are those of the states
+    bit for bit.  A block that no initial state occupies reads 0.
+    """
+    rho, n_col, n_samples = _sampled_initials(config, initials, t_max)
+    d_sys = rho.shape[-1]
+    deltas = _occupied_deltas(rho)
+    sites = np.asarray(sites, dtype=int)
+    if sites.shape != (len(rho),) or np.any(sites < 0) or \
+            np.any(sites >= config.n_qubits):
+        raise ValueError(
+            f"need one site in [0, {config.n_qubits}) per initial state")
+    bit = 1 << (config.n_qubits - 1 - sites)
+    # per state, the labels with its bit clear, ascending (k with a 0
+    # put in at the bit); with it set, the same labels plus the bit
+    k = np.arange(d_sys // 2)
+    low = k & (bit[:, None] - 1)
+    clear = ((k - low) << 1) | low
+    # the carried index of each block read, -1 where it is not carried
+    position = np.full(d_sys, -1)
+    position[deltas] = np.arange(len(deltas))
+    index = position[np.stack([np.zeros_like(bit), bit], axis=1)]
+    carried = (index >= 0)[:, [0, 0, 1]]
+    index = np.maximum(index, 0)
+    # entries read from each state's flattened blocks: the populations
+    # with its bit clear and set, then the coherences <0|.|1>
+    take = np.stack([index[:, :1] * d_sys + clear,
+                     index[:, :1] * d_sys + (clear | bit[:, None]),
+                     index[:, 1:] * d_sys + clear], axis=1)
+    take = take.reshape(len(rho), -1)
+    state = np.arange(len(rho))[:, None]
+    out = np.zeros((len(rho), n_samples, 2, 2), dtype=np.complex128)
+    for samples, blocks in _carried_blocks(config, rho, deltas, n_col):
+        picked = blocks.reshape(blocks.shape[:2] + (-1,))[state, :, take]
+        picked = picked.reshape(len(rho), 3, d_sys // 2, -1)
+        # added left to right, as ``_batched_qubit_marginal`` adds; a sum
+        # reduction would add the first term last
+        entries = picked[:, :, 0]
+        for j in range(1, d_sys // 2):
+            entries = entries + picked[:, :, j]
+        entries = entries * carried[..., None]  # (states, 3, samples read)
+        out[:, samples, [0, 1, 0], [0, 1, 1]] = entries.swapaxes(1, 2)
+        out[:, samples, 1, 0] = entries[:, 2].conj()
     return out
 
 

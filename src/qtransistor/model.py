@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, thermal_state
+from .linalg import thermal_state
 
 TERMINALS = ("L", "M", "R")
 
@@ -205,27 +205,6 @@ class ModelConfig:
         return dataclasses.replace(cfg, **kwargs) if kwargs else cfg
 
 
-def embed(op: np.ndarray, site: int, dims: list) -> np.ndarray:
-    """Place a local operator at tensor slot ``site``, identity elsewhere."""
-    factors = [np.eye(d, dtype=np.complex128) for d in dims]
-    if op.shape != (dims[site], dims[site]):
-        raise ValueError(
-            f"operator shape {op.shape} does not fit slot {site} of {dims}")
-    factors[site] = op
-    return kron(*factors)
-
-
-def embed_pair(op1: np.ndarray, site1: int, op2: np.ndarray, site2: int,
-               dims: list) -> np.ndarray:
-    """Product of two local operators at distinct slots."""
-    if site1 == site2:
-        raise ValueError("sites must differ")
-    factors = [np.eye(d, dtype=np.complex128) for d in dims]
-    factors[site1] = op1
-    factors[site2] = op2
-    return kron(*factors)
-
-
 def system_energies(coupling: CouplingConfig,
                     n_qubits: int = 3) -> np.ndarray:
     """Diagonal of the working-substance Hamiltonian on the bare qubits.
@@ -234,7 +213,8 @@ def system_energies(coupling: CouplingConfig,
     with one term per unordered pair.  H is diagonal in the product
     basis, so each term is read off the qubits' sz = +/-1 levels; the
     terms are subtracted in the order above, which gives the diagonal of
-    the sum of ``embed`` products bit for bit.
+    the sum of ``embed`` products in the tests
+    (``embed_system_hamiltonian``) bit for bit.
     """
     if n_qubits == 3:
         order = ("L", "M", "R")
@@ -319,8 +299,8 @@ def hamiltonian_entries(config: ModelConfig):
     -g sx (x) Sx term, placed by index arithmetic: H_tot[rows[i],
     cols[i]] = values[i], each position once.  The sums run in the order
     of kron(H_sys, I) + sum embed(h_env) + H_int, the kron reference in
-    the tests (``kron_total_hamiltonian``, with H_int from their
-    ``build_interaction_hamiltonian``), so the entries are that sum's,
+    the tests (``kron_total_hamiltonian``, with ``embed`` and H_int from
+    their ``build_interaction_hamiltonian``), so the entries are that sum's,
     element for element.
     """
     n = config.n_qubits

@@ -18,22 +18,27 @@ so four basis evolutions (|0>, |1>, |+>, |+i>) determine the marginal of any
 initial state, and the squared trace distance of a pair whose Bloch vectors
 differ by delta is a quadratic form delta^T Q(t) delta with a real
 symmetric 3 x 3 Q(t) per sample time.  Any set of directions is then scored
-by one real product, their monomials [x^2, y^2, z^2, 2xy, 2xz, 2yz] times
+by real products, their monomials [x^2, y^2, z^2, 2xy, 2xz, 2yz] times
 the six distinct series of Q, with no complex arithmetic.  The scan scores
 the pole, a few coarse rows in theta over the whole turn in phi, and the
-equator sampled finely over phi in [0, pi), in one such product; each
-cutoff reads the backflow up to its own sample and takes its best scan
-point.  The polish scores shrinking 5 x 5 patches in (theta, phi) around
-every cutoff's point, all cutoffs in one product per patch.  Every cutoff
-is last scored at the optimum of each earlier cutoff too, which makes N
-non-decreasing along the cutoffs.  Every marginal is taken from the
-system states of ``engine.sample_states``; the probes of several terminals
-share one call.  A probe state probe (x) |0...0> occupies at most two
-difference blocks rho[a, a ^ delta] of the system state, the populations
-(delta = 0) and the probed qubit's coherences (delta its bit), and
-``sample_states`` carries just those, each on its own 2^n x 2^n map.  The
-reported optimum of ``blp_measure`` is re-evaluated by evolving the pair
-itself before being returned.
+equator sampled finely over phi in [0, pi); each cutoff reads the
+backflow up to its own sample and takes its best scan point.  The polish
+scores shrinking 5 x 5 patches in (theta, phi) around every cutoff's
+point.  Every cutoff is last scored at the optimum of each earlier cutoff
+too, which makes N non-decreasing along the cutoffs.  All three score
+their directions in blocks whose distance table stays under 128 KiB
+(``_antipodal_rises``), so the search's memory does not grow with the
+directions times the samples.
+
+Every marginal is read by ``engine.sample_marginals`` straight off the
+difference blocks rho[a, a ^ delta] of the system state that the engine
+carries from window to window; the probes of several terminals share one
+call.  A probe state probe (x) |0...0> occupies at most two of them, the
+populations (delta = 0) and the probed qubit's coherences (delta its
+bit); only those are carried, each on its own 2^n x 2^n map, and the
+probe's marginal is a sum of their entries, so no whole system state is
+formed.  The reported optimum of ``blp_measure`` is re-evaluated by
+evolving the pair itself before being returned.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import linalg as la
-from .engine import _batched_qubit_marginal, _sample_index, sample_states
+from .engine import _sample_index, sample_marginals
 from .model import ModelConfig
 
 __all__ = [
@@ -147,17 +152,14 @@ def _probe_marginals(config: ModelConfig,
                      t_max: float) -> np.ndarray:
     """Marginal of the probed qubit at every sample time for each
     (terminal, state) in ``probes``, shape (len(probes), n_times, 2, 2),
-    from one ``sample_states`` call."""
+    from one ``sample_marginals`` call."""
     for terminal, _ in probes:
         if terminal not in config.system_terminals:
             raise ValueError(f"unknown terminal {terminal!r}")
     initials = [_full_initial(config, x, s.density_matrix())
                 for x, s in probes]
-    states = sample_states(config, initials, t_max)
-    return np.stack([
-        _batched_qubit_marginal(series, config.n_qubits,
-                                config.system_terminals.index(x))
-        for (x, _), series in zip(probes, states)])
+    sites = [config.system_terminals.index(x) for x, _ in probes]
+    return sample_marginals(config, initials, sites, t_max)
 
 
 def qubit_reduced_dynamics(
@@ -229,7 +231,13 @@ def _quadratic_distance(q: np.ndarray, delta_r: np.ndarray) -> np.ndarray:
     """sqrt(delta^T Q(t) delta) for ``delta_r`` (..., 3) and ``q``
     (3, 3, n_times), shape (..., n_times): one product of the monomials
     with the six distinct series of Q."""
-    d2 = _monomials(delta_r) @ q[_Q_ROWS, _Q_COLS]
+    return _distance(_monomials(delta_r), q[_Q_ROWS, _Q_COLS])
+
+
+def _distance(monomials: np.ndarray, q6: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, m . Q)) for monomials m (..., 6) and the six distinct
+    series ``q6`` (6, n_times) of Q, shape (..., n_times)."""
+    d2 = monomials @ q6
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
@@ -269,14 +277,44 @@ def _cumulative_positive(series: np.ndarray) -> np.ndarray:
     return np.concatenate([zero, np.cumsum(d, axis=-1)], axis=-1)
 
 
-def _antipodal_distance(q: np.ndarray, theta: np.ndarray,
-                        phi: np.ndarray) -> np.ndarray:
-    """Trace-distance series of the antipodal pairs at Bloch angles
-    ``theta``, ``phi`` (arrays of one shape) of the map with quadratic form
-    ``q``, shape (..., n_times)."""
+def _accumulated(rise: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Backflow accumulated up to each sample index of ``cut``, from the
+    rises between samples along the last axis: their running sums, taken
+    in place in ``rise``, shape rise.shape[:-1] + cut.shape."""
+    flow = np.cumsum(rise, axis=-1, out=rise)
+    return np.where(cut > 0, flow[..., cut - 1], 0.0)
+
+
+# a distance table stays under glibc's mmap threshold (README "Memory")
+_TABLE_BYTES = 128 * 1024
+
+
+def _antipodal_rises(q: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """Score the antipodal pairs at Bloch angles ``theta``, ``phi``, shape
+    (n_items, n_directions), a block at a time.
+
+    Yields ``(items, directions, rise)``: the slices of a block and
+    max(0, D(t_{k+1}) - D(t_k)) of each of its pairs, shape (block
+    items, block directions, n_times - 1).  A block holds whole items,
+    or one item's directions, as many as keep its distance table under
+    ``_TABLE_BYTES``.  Each item's directions take one product with the
+    six series of ``q``, so a pair's bits do not depend on the rest of
+    its block.
+    """
+    n_items, n_dirs = theta.shape
     st = np.sin(theta)
-    return _quadratic_distance(q, 2.0 * np.stack(
+    monomials = _monomials(2.0 * np.stack(
         [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1))
+    q6 = q[_Q_ROWS, _Q_COLS]
+    rows = max(1, (_TABLE_BYTES - 1) // (8 * q.shape[-1]))
+    group, block = (rows // n_dirs, n_dirs) if n_dirs <= rows else (1, rows)
+    for i in range(0, n_items, group):
+        for j in range(0, n_dirs, block):
+            items, dirs = slice(i, i + group), slice(j, j + block)
+            dist = _distance(monomials[items, dirs], q6)
+            rise = np.subtract(dist[..., 1:], dist[..., :-1])
+            del dist  # the caller holds one table
+            yield items, dirs, np.maximum(rise, 0.0, out=rise)
 
 
 # phi samples of the equator scan, over the half turn [0, pi) since phi and
@@ -317,15 +355,17 @@ def _antipodal_search(
     """Best antipodal pair for the backflow up to each sample index in
     ``cut`` (ascending), as (value, (theta, phi)).
 
-    A scan scores every direction of ``_scan_directions`` in one product
-    with the six series of ``rmap.q``, each cutoff reading the backflow up
-    to its own sample, and each cutoff starts from its first best scan
-    point.  A polish then scores 5 x 5 patches around every cutoff's point,
-    all cutoffs in one call per patch, and moves the point to the patch's
-    best (the centre on ties).  A best point inside the patch shrinks the
-    next patch 4x; one on its edge moves the patch at the same spacing.  A
-    cutoff is done after a patch at most ``refine_tol`` apart in theta and
-    phi whose best point lies inside it.  Last, every cutoff is scored at
+    Every pair is scored through ``_antipodal_rises``, a block of
+    directions at a time.  A scan scores every direction of
+    ``_scan_directions``, each cutoff reading the backflow up to its own
+    sample as a running sum, and each cutoff starts from its first best
+    scan point.  A polish then scores 5 x 5 patches around every cutoff's
+    point, each patch's backflow up to its cutoff as one weighted sum,
+    and moves the point to the patch's best (the centre on ties).  A best
+    point inside the patch shrinks the next patch 4x; one on its edge
+    moves the patch at the same spacing.  A cutoff is done after a patch
+    at most ``refine_tol`` apart in theta and phi whose best point lies
+    inside it.  Last, every cutoff is scored at
     the optimum of each cutoff up to it and keeps the best, its own on
     ties: a pair's backflow never falls as its cutoff grows, so N is
     non-decreasing along ``cut``.
@@ -333,9 +373,10 @@ def _antipodal_search(
     cut = np.asarray(cut)
     q = rmap.q
     theta, phi, spacing = _scan_directions(search)
-    first = np.argmax(
-        _cumulative_positive(_antipodal_distance(q, theta, phi))[:, cut],
-        axis=0)
+    flow = np.empty((len(theta), len(cut)))
+    for _, dirs, rise in _antipodal_rises(q, theta[None], phi[None]):
+        flow[dirs] = _accumulated(rise[0], cut)
+    first = np.argmax(flow, axis=0)
     theta, phi, spacing = theta[first], phi[first], spacing[first]
 
     # a patch reads each cutoff's own backflow as one weighted sum
@@ -345,9 +386,10 @@ def _antipodal_search(
         th = np.clip(theta[todo, None] + spacing[todo, :1] * _PATCH[:, 0],
                      0.0, math.pi)
         ph = phi[todo, None] + spacing[todo, 1:] * _PATCH[:, 1]
-        rise = np.maximum(np.diff(_antipodal_distance(q, th, ph)), 0.0)
-        val = rise @ upto[todo, :, None]
-        pick = np.argmax(val[..., 0], axis=1)
+        val = np.empty(th.shape)
+        for items, _, rise in _antipodal_rises(q, th, ph):
+            val[items] = (rise @ upto[todo[items], :, None])[..., 0]
+        pick = np.argmax(val, axis=1)
         theta[todo] = th[np.arange(todo.size), pick]
         phi[todo] = ph[np.arange(todo.size), pick] % (2.0 * math.pi)
         inside = np.abs(_PATCH[pick]).max(axis=1) < 2
@@ -357,8 +399,10 @@ def _antipodal_search(
 
     # values[j, k]: cutoff k at cutoff j's optimum, for j <= k; the argmax
     # over reversed rows takes a cutoff's own optimum on ties
-    values = _cumulative_positive(
-        _antipodal_distance(q, theta[:, None], phi[:, None]))[:, 0, cut]
+    values = np.empty((len(cut), len(cut)))
+    for items, _, rise in _antipodal_rises(q, theta[:, None],
+                                           phi[:, None]):
+        values[items] = _accumulated(rise[:, 0], cut)
     values[np.tril_indices(len(cut), -1)] = -np.inf
     pick = len(cut) - 1 - np.argmax(values[::-1], axis=0)
     return [(float(values[j, k]), (float(theta[j]), float(phi[j])))
@@ -408,7 +452,7 @@ def blp_series(
 
     ``terminal`` is one terminal name, giving shape (len(cutoffs),), or a
     sequence of them, giving one row per terminal; the probes of every
-    terminal are then evolved in one ``sample_states`` call."""
+    terminal are then evolved in one ``sample_marginals`` call."""
     cutoffs = np.asarray(list(cutoffs), dtype=float)
     if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be strictly ascending and nonempty")

@@ -20,7 +20,7 @@ from qtransistor.engine import (Propagator, Trajectory, _Core,
 from qtransistor.metrics import sweep
 from qtransistor.model import (ENV_KINDS, ModelConfig, SpinOps,
                                ancilla_thermal_state,
-                               build_total_hamiltonian, embed, embed_pair)
+                               build_total_hamiltonian)
 
 
 def coarse(**over):
@@ -402,6 +402,9 @@ def test_transfer_equals_the_dense_unitary_sum_bit_for_bit(name):
 
 
 def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
+    # imported here: test_model imports this module
+    from test_model import embed, embed_pair
+
     cfg = coarse()
     dims = cfg.joint_dims()
     # a lone sx on one qubit flips that qubit's local parity alone; sx on

@@ -13,7 +13,7 @@ from qtransistor.model import (COUPLING_PRESETS, ENV_KINDS, TERMINALS,
                                ancilla_thermal_state,
                                build_env_local_hamiltonian,
                                build_system_hamiltonian,
-                               build_total_hamiltonian, embed, embed_pair,
+                               build_total_hamiltonian,
                                local_parities, system_energies)
 from test_engine import small_models
 
@@ -257,6 +257,27 @@ def test_total_hamiltonian_commutes_exactly_with_the_parity(
             assert set(p) == {1.0, -1.0}
             # H diag(P) - diag(P) H, elementwise
             assert np.count_nonzero(h * p - p[:, None] * h) == 0
+
+
+def embed(op: np.ndarray, site: int, dims: list) -> np.ndarray:
+    """Place a local operator at tensor slot ``site``, identity elsewhere."""
+    factors = [np.eye(d, dtype=np.complex128) for d in dims]
+    if op.shape != (dims[site], dims[site]):
+        raise ValueError(
+            f"operator shape {op.shape} does not fit slot {site} of {dims}")
+    factors[site] = op
+    return la.kron(*factors)
+
+
+def embed_pair(op1: np.ndarray, site1: int, op2: np.ndarray, site2: int,
+               dims: list) -> np.ndarray:
+    """Product of two local operators at distinct slots."""
+    if site1 == site2:
+        raise ValueError("sites must differ")
+    factors = [np.eye(d, dtype=np.complex128) for d in dims]
+    factors[site1] = op1
+    factors[site2] = op2
+    return la.kron(*factors)
 
 
 def build_interaction_hamiltonian(g: float, env: EnvSpec,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,6 +125,32 @@ PROBE_MODELS = {
 }
 
 angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_MODELS))
+def test_probe_marginals_are_those_of_the_sampled_states(name):
+    cfg = PROBE_MODELS[name]
+    probes = [(x, s) for x in cfg.system_terminals
+              for s in nonmarkov._BASIS + (BlochState(1.1, 0.7),)]
+    initials = [nonmarkov._full_initial(cfg, x, s.density_matrix())
+                for x, s in probes]
+    sites = [cfg.system_terminals.index(x) for x, _ in probes]
+    for t_max in (0.0, 1.0):
+        got = engine.sample_marginals(cfg, initials, sites, t_max)
+        states = engine.sample_states(cfg, initials, t_max)
+        want = np.stack([engine._batched_qubit_marginal(s, cfg.n_qubits, i)
+                         for s, i in zip(states, sites)])
+        n_times = round(1 + 10 * t_max)
+        assert got.shape == want.shape == (len(probes), n_times, 2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+        trace = np.trace(got, axis1=-2, axis2=-1)
+        assert np.max(np.abs(trace - 1.0)) <= 1e-14
+    # a probe on a pole alone carries no coherence block: it reads 0
+    pole = engine.sample_marginals(cfg, initials[:1], sites[:1], 1.0)[0]
+    assert np.all(pole[:, 0, 1] == 0.0) and np.all(pole[:, 1, 0] == 0.0)
+    with pytest.raises(ValueError, match="one site"):
+        engine.sample_marginals(cfg, initials[:2], [cfg.n_qubits, 0], 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,6 +332,21 @@ def test_a_cutoff_searched_alone_or_with_the_others_gives_equal_bits(
         assert np.array_equal(alone, together)
 
 
+def test_series_memory_does_not_grow_with_directions_times_samples():
+    # 60 cutoffs over 601 samples: a (481 directions x 601 samples) scan
+    # table alone is 2.3 MB, and the whole search held 21.6 MB at once
+    cfg = ModelConfig.default()
+    engine._core_for(cfg)  # the shared core is built here
+    cutoffs = np.round(np.arange(1, 61) / 10.0, 10)
+    tracemalloc.start()
+    try:
+        blp_series(cfg, ("L", "M", "R"), cutoffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_backflow_never_runs_per_window_evolution(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-window evolution called")
@@ -363,13 +405,13 @@ def test_terminals_share_one_run_and_match_their_own_series(monkeypatch):
     cfg = coarse()
     cutoffs = [0.5, 1.0, 1.5]
     calls = []
-    real = nonmarkov.sample_states
+    real = nonmarkov.sample_marginals
 
     def counted(*args):
         calls.append(len(args[1]))
         return real(*args)
 
-    monkeypatch.setattr(nonmarkov, "sample_states", counted)
+    monkeypatch.setattr(nonmarkov, "sample_marginals", counted)
     rows = blp_series(cfg, cfg.system_terminals, cutoffs, SMALL)
     assert calls == [12]
     assert rows.shape == (3, 3)

@@ -1,0 +1,50 @@
+"""The per-stage peak-memory script, on a two-point sweep."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "rss_stages.py"
+
+# a fresh interpreter, so that the stages are those of one run alone
+PROBE = """
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("rss_stages", sys.argv[1])
+rss_stages = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(rss_stages)
+sys.path.insert(0, str(rss_stages.ROOT / "perfbench"))
+import workloads
+inputs = workloads.sweep_inputs("T_M", 4.0, 0.25, 2, 1.0, {})
+stages = rss_stages.run_stages(inputs, Path(sys.argv[2]))
+print(json.dumps(stages))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc/self/status")
+def test_stages_of_a_tiny_sweep(tmp_path):
+    done = subprocess.run([sys.executable, "-c", PROBE, str(SCRIPT),
+                           str(tmp_path)], capture_output=True, text=True,
+                          check=True)
+    stages = json.loads(done.stdout.strip().splitlines()[-1])
+    assert [name for name, _ in stages] == [
+        "interpreter start", "import numpy", "import qtransistor.cli",
+        "after compute", "after the tables"]
+    peaks = [mb for _, mb in stages]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    lines = (tmp_path / "out" / "sweep_T_M.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 2
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_usage_without_two_arguments():
+    done = subprocess.run([sys.executable, str(SCRIPT), "backflow"],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 2
+    assert "rss_stages.py WORKLOAD SEED" in done.stderr
