@@ -13,7 +13,7 @@ Unknown sections or keys, unparseable values, and out-of-domain values are
 all reported with the line they occur on; nothing is computed until the
 whole document validates.  Omitted keys fall back to the reference setup
 (delta = 3, g = 4, collision window 0.5, T_L = 4, T_M = T_R = 10,
-stencil step h = 0.05, sample spacing 0.01).
+sample spacing 0.01).
 
 ``parse_config`` is the one place where a run's settings are decided.
 Every value, whether from a document line, a ``--set key=value`` pair (any
@@ -82,7 +82,6 @@ class _Key:
     type_name: str
     check: Optional[Callable[[Any], bool]] = None
     domain: str = ""
-    dest: Optional[str] = None  # overrides-dict name when it differs
 
 
 def _read_value(into: Dict[str, Any], key: str, raw: str, spec: _Key,
@@ -103,11 +102,11 @@ def _read_value(into: Dict[str, Any], key: str, raw: str, spec: _Key,
         problems.append(
             f"{where}{key} = {raw!r} out of domain ({spec.domain})")
         return
-    into[spec.dest or key] = val
+    into[key] = val
 
 
-def _fkey(check=None, domain="", dest=None) -> _Key:
-    return _Key(float, "number", check, domain, dest)
+def _fkey(check=None, domain="") -> _Key:
+    return _Key(float, "number", check, domain)
 
 
 def _ikey(check=None, domain="") -> _Key:
@@ -129,12 +128,9 @@ _POS = (lambda v: v > 0, "must be positive")
 _MODEL_KEYS: Dict[str, _Key] = {
     "preset": _ckey(COUPLING_PRESETS),
     "delta": _fkey(),
-    "env_delta": _fkey(),
-    "appendix_delta": _fkey(),
     "g": _fkey(),
     "dt_collision": _fkey(*_POS),
     "sample_dt": _fkey(*_POS),
-    "h": _fkey(*_POS, dest="stencil_h"),
     "n_qubits": _ikey(lambda v: v in (2, 3), "must be 2 or 3"),
     "kind": _ckey(ENV_KINDS),
     "epsilon": _fkey(),

@@ -46,12 +46,23 @@ reads it.  T and c are linear in p, and bath
 temperatures enter only through p, so one core serves every temperature.
 A detached X has K_X = 0 exactly, and its current is an exact zero.
 
+The same linearity gives exact derivatives in the modulating bath's
+temperature T_mod.  Only the modulating ancilla's Boltzmann factor
+depends on it, so p' = dp/dT_mod = p o (E_mod - <E_mod>) / T_mod^2, with
+E_mod its level energies (p' = 0 when it is detached), and
+
+    dpi_{n+1} = T(p) dpi_n + T(p') pi_n,   dpi_0 = 0,
+    dJ_X = F(p) . dpi_n + F(p') . pi_n.
+
+p and p' are rows of one stack, so the sector products are taken once.
+
 Every current takes one route.  ``_window_rows`` maps a sample to its
 window n and row s, the one place an edge is given to a side.  A
 ``Propagator`` holds T and the functionals at the rows read for configs
-that share H_tot, and ``collision`` steps them all one window.
-``sample_currents`` starts each chain at |0...0> and ``evolve`` at the
-diagonal of its initial state.  Every product is taken per config, so a
+that share H_tot, and ``collision`` steps them all one window, with
+their derivatives.  ``sample_tangents`` starts each chain at |0...0>
+and reads J and dJ/dT_mod, ``sample_currents`` its J, and ``evolve``
+starts at the diagonal of its initial state.  Every product is taken per config, so a
 config reads the same bits alone or in a batch, at any subset of times.
 
 System states, coherences included, come from one carry.  The window
@@ -186,7 +197,7 @@ def _cached_core(key: ModelConfig) -> _Core:
 
 def _without_temperatures(config: ModelConfig) -> ModelConfig:
     env = dataclasses.replace(config.env, T_L=1.0, T_M=1.0, T_R=1.0)
-    return dataclasses.replace(config, env=env, stencil_h=1.0)
+    return dataclasses.replace(config, env=env)
 
 
 def _core_for(config: ModelConfig) -> _Core:
@@ -253,7 +264,8 @@ class Propagator:
     """Population chain of a batch of configs that share one H_tot: each
     config's window map T and its current functionals at the phase rows
     ``rows`` of a window, row s at tau_s = s * sample_dt (row 0 is the
-    attach instant)."""
+    attach instant), and beside them their T_mod derivatives
+    ``dtransfer`` and ``dfunctionals``."""
 
     def __init__(self, configs, rows):
         configs = list(configs)
@@ -264,24 +276,31 @@ class Propagator:
                 "temperatures")
         self.core = _core_for(shared)
         self.terminals = self.core.terminals
-        # the fresh ancillas' populations; their state is diag(p)
+        # the fresh ancillas' populations (their state is diag(p)), then p'
         p = _populations(configs)
-        self.transfer = _transfer(self.core, shared.dt_collision, p)
+        self.transfer, self.dtransfer = np.split(
+            _transfer(self.core, shared.dt_collision, p), 2)
         generators = _current_generators(self.core, shared)
-        self.functionals = np.empty((len(p), len(rows), len(self.terminals),
-                                     self.core.d_sys))
+        functionals = np.empty((len(p), len(rows), len(self.terminals),
+                                self.core.d_sys))
         for i, s in enumerate(rows):
-            self.functionals[:, i] = _functionals(
+            functionals[:, i] = _functionals(
                 self.core, generators, shared.sample_dt * s, p)
+        self.functionals, self.dfunctionals = np.split(functionals, 2)
 
-    def collision(self, pi: np.ndarray):
-        """One window from the populations ``pi``, shape (n_configs,
-        d_sys): the populations at its end, and its currents F . pi at
-        each of ``rows``, shape (n_configs, n_rows, n_terminals).  F . pi
-        is taken elementwise and summed, so each value has the same bits
-        whatever shape the batch has."""
-        return (self.transfer @ pi[..., None])[..., 0], \
-            np.sum(self.functionals * pi[:, None, None], axis=-1)
+    def collision(self, pi: np.ndarray, dpi: np.ndarray):
+        """One window from the populations ``pi`` and their derivatives
+        ``dpi``, each of shape (n_configs, d_sys): both at its end, then
+        its currents F . pi at each of ``rows``, shape (n_configs, n_rows,
+        n_terminals), and their derivatives F' . pi + F . dpi.  Each dot
+        product is taken elementwise and summed, so each value has the
+        same bits whatever shape the batch has."""
+        col, dcol = pi[..., None], dpi[..., None]
+        row, drow = pi[:, None, None], dpi[:, None, None]
+        f, df = self.functionals, self.dfunctionals
+        return (self.transfer @ col)[..., 0], \
+            (self.transfer @ dcol + self.dtransfer @ col)[..., 0], \
+            np.sum(f * row, axis=-1), np.sum(f * drow + df * row, axis=-1)
 
 
 @dataclass
@@ -362,7 +381,7 @@ def evolve(config: ModelConfig, t_max: float, *,
     index = np.arange(n_col * config.samples_per_collision + 1)
     window, row = _window_rows(index, config, boundary)
     pi = np.diagonal(_system_initial(config, initial)).real.copy()
-    currents = _chain_currents([config], window, row, pi[None])[0]
+    currents = _chain_currents([config], window, row, pi[None])[0][0]
     # the collision that owns each sample; 0 before the first
     collision_index = window + ((row > 0) | (boundary == "right"))
 
@@ -409,20 +428,24 @@ def _window_rows(index: np.ndarray, config: ModelConfig, boundary: str):
 
 
 def _chain_currents(configs, window: np.ndarray, row: np.ndarray,
-                    pi: np.ndarray) -> np.ndarray:
+                    pi: np.ndarray):
     """Currents at row ``row[i]`` of window ``window[i]`` for each config,
-    shape (len(configs), len(window), n_terminals), each chain started at
-    its populations in ``pi``.  One ``Propagator`` steps every config
-    window by window up to the last one read, at the distinct rows read.
+    and their derivatives dJ/dT_mod: two arrays of shape (len(configs),
+    len(window), n_terminals), each chain started at its populations in
+    ``pi``, which do not depend on T_mod.  One ``Propagator`` steps every
+    config window by window up to the last one read, at the distinct rows
+    read.
     """
     rows, column = np.unique(row, return_inverse=True)
     prop = Propagator(configs, rows)
-    cur = np.empty((len(pi), len(window), len(prop.terminals)))
+    cur, dcur = np.empty((2, len(pi), len(window), len(prop.terminals)))
+    dpi = np.zeros_like(pi)
     for n in range(int(window.max(initial=-1)) + 1):
         at = np.flatnonzero(window == n)
-        pi, read = prop.collision(pi)
+        pi, dpi, read, dread = prop.collision(pi, dpi)
         cur[:, at] = read[:, column[at]]
-    return cur
+        dcur[:, at] = dread[:, column[at]]
+    return cur, dcur
 
 
 def _sector_unitaries(core: _Core, tau: float) -> np.ndarray:
@@ -485,44 +508,55 @@ class _DifferenceMaps:
         return out
 
 
-def _boltzmann_weights(config: ModelConfig, terminal: str) -> np.ndarray:
-    """Populations of one fresh ancilla at its terminal's temperature.
+def _boltzmann_weights(config: ModelConfig, terminal: str):
+    """Populations q of one fresh ancilla at its terminal's temperature
+    T, and their derivative dq/dT = q o (E - <E>) / T^2.
 
     The ancilla Hamiltonian is diagonal, so these are Boltzmann weights of
-    its diagonal, normalized with the sum taken in ascending-energy order;
-    that is the diagonal ``model.ancilla_thermal_state`` finds through
-    ``eigh``, bit for bit.
+    its diagonal E, normalized with the sum taken in ascending-energy
+    order; that is the diagonal ``model.ancilla_thermal_state`` finds
+    through ``eigh``, bit for bit.
     """
     h = build_env_local_hamiltonian(config.env)
     e = np.diag(h).real
     if np.count_nonzero(h - np.diag(e)):
         raise ValueError("ancilla Hamiltonian is not diagonal")
+    temperature = config.env.temperature(terminal)
     order = np.argsort(e, kind="stable")
-    weights = np.exp(-(1.0 / config.env.temperature(terminal))
-                     * (e[order] - e.min()))
+    weights = np.exp(-(1.0 / temperature) * (e[order] - e.min()))
     p = np.empty_like(weights)
     p[order] = weights / weights.sum()
-    return p
+    return p, p * (e - p @ e) / temperature ** 2
 
 
 def _populations(configs) -> np.ndarray:
-    """Fresh-ancilla populations p_e, shape (len(configs), d_env).
+    """Fresh-ancilla populations p_e of each config, then their
+    derivatives p'_e with respect to its modulating bath's temperature:
+    one stack of shape (2 * len(configs), d_env).
 
     One set of weights per distinct (terminal, temperature); they are
-    multiplied in ``attached_terminals`` order, so each row is the
-    diagonal of the kron product of the fresh ancilla states, bit for bit.
+    multiplied in ``attached_terminals`` order, so each row of p is the
+    diagonal of the kron product of the fresh ancilla states, bit for
+    bit.  p' follows by the product rule, in which only the modulating
+    factor has a derivative; it is 0 when that terminal is detached.
     """
     diagonals = {}
-    rows = []
+    rows, tangents = [], []
     for config in configs:
-        p = np.ones(1)
+        p, dp = np.ones(1), np.zeros(1)
         for t in config.attached_terminals:
             key = (t, config.env.temperature(t))
             if key not in diagonals:
                 diagonals[key] = _boltzmann_weights(config, t)
-            p = np.multiply.outer(p, diagonals[key]).ravel()
+            q, dq = diagonals[key]
+            # dp is still 0 when the modulating factor comes
+            dp = np.multiply.outer(p, dq) \
+                if t == config.modulating_terminal \
+                else np.multiply.outer(dp, q)
+            dp, p = dp.ravel(), np.multiply.outer(p, q).ravel()
         rows.append(p)
-    return np.stack(rows)
+        tangents.append(dp)
+    return np.stack(rows + tangents)
 
 
 def _occupied_deltas(rho: np.ndarray) -> np.ndarray:
@@ -669,12 +703,19 @@ def sample_currents(configs, times, boundary: str = "left") -> np.ndarray:
 
     Returns shape (len(configs), len(times), n_terminals), terminals in
     ``system_terminals`` order, with the values ``evolve`` reports at
-    those times for the same ``boundary``, bit for bit.  Every chain
-    starts from |0...0>; see ``_chain_currents``.
+    those times for the same ``boundary``, bit for bit, read off
+    ``sample_tangents``.
     """
+    return sample_tangents(configs, times, boundary)[0]
+
+
+def sample_tangents(configs, times, boundary: str = "left"):
+    """The currents of ``sample_currents`` and their exact derivatives
+    dJ_X/dT_mod, two arrays of that shape; every chain starts from
+    |0...0> (see ``_chain_currents``)."""
     configs = list(configs)
     if not configs:
-        raise ValueError("sample_currents needs at least one config")
+        raise ValueError("sample_tangents needs at least one config")
     first = configs[0]
     window, row = _window_rows(_sample_index(times, first.sample_dt),
                                first, boundary)

@@ -6,20 +6,19 @@ amplification factor alpha_X = (dJ_X/dT) / (dJ_mod/dT), the critical
 temperature where the modulating derivative vanishes, and one-axis parameter
 sweeps that hold each of those quantities as one array over the grid.
 
-Derivatives use the five-point central stencil
+Derivatives are exact: ``engine.sample_tangents`` carries dJ/dT_mod on
+the population chain beside J, so one call reads both, shared across
+terminals and, for time sweeps, across every requested time; only the
+requested samples are evaluated.  Every point of a T_M sweep shares one
+H_tot, so the whole sweep is one call over its points, and each point
+gets the values a call of its own would give.  A sweep writes that
+call's arrays straight into its columns.  An error raised inside the
+call marks every point of the sweep with NaN and its message; a point
+whose config is refused (T_M <= 0, say) is left out of the call and
+fails alone.
 
-    f'(x) ~ [f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)] / (12 h)
-
-with h = ``ModelConfig.stencil_h`` (0.05 by default, error O(h^4)).  The
-five modulating temperatures share one H_tot, so one stencil is a single
-``engine.sample_currents`` call, shared across terminals and, for time
-sweeps, across every requested time; only the requested samples are
-evaluated.  Every point of a T_M sweep shares that H_tot too, so the
-whole sweep is one call over 5 configs per point, and each point gets
-the values a call of its own would give.  A sweep writes the stencil's
-arrays straight into its columns.  An error raised inside that call
-marks every point of the sweep with NaN and its message; a point whose
-stencil leaves the physical domain is left out of the call and fails alone.
+``five_point_derivative`` is the finite-difference reference that the
+tests and the benchmark's gate check these derivatives against.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import sample_currents
+from .engine import sample_currents, sample_tangents
 from .model import ModelConfig
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
 
 # |dJ_mod/dT| below this marks alpha as divergent (near-critical denominator).
 DIVERGENCE_TOL = 1e-8
-
-_STENCIL_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_STENCIL_WEIGHTS = (1.0, -8.0, 0.0, 8.0, -1.0)  # divide by 12 h
 
 SWEEP_AXES = ("T_M", "t", "g", "epsilon")
 
@@ -119,46 +115,6 @@ class SweepResult:
             raise ValueError("one record per grid point required")
 
 
-def _check_stencil_domain(config: ModelConfig) -> None:
-    mod = config.modulating_terminal
-    T0 = config.env.temperature(mod)
-    if T0 - 2.0 * config.stencil_h <= 0.0:
-        raise ValueError(
-            f"stencil leaves the physical domain: T_{mod} - 2h = "
-            f"{T0 - 2 * config.stencil_h}"
-        )
-
-
-def _stencil(
-    configs: Sequence[ModelConfig], times: Sequence[float], boundary: str
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """(currents at centre, dJ/dT_mod) per terminal, each of shape
-    (len(configs), len(times)).
-
-    ``configs`` are centre configs that share one H_tot.  Each gets five
-    runs with the modulating bath at T + k*h, k in -2..2 and h = its
-    ``stencil_h``; all 5 * len(configs) runs are read at ``times`` in one
-    ``sample_currents`` call, which gives each config the values it would
-    get alone.
-    """
-    for config in configs:
-        _check_stencil_domain(config)
-    mod = configs[0].modulating_terminal
-    runs = sample_currents(
-        [c.with_temperature(mod, c.env.temperature(mod) + k * c.stencil_h)
-         for c in configs for k in _STENCIL_OFFSETS],
-        times, boundary)
-    # (offset k, terminal, config, time)
-    runs = runs.reshape(len(configs), len(_STENCIL_OFFSETS), len(times),
-                        -1).transpose(1, 3, 0, 2)
-    h = np.array([c.stencil_h for c in configs])[:, None]
-    acc = sum(w * run for k, w, run in
-              zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS, runs) if k != 0.0)
-    terminals = configs[0].system_terminals
-    return (dict(zip(terminals, runs[_STENCIL_OFFSETS.index(0.0)])),
-            dict(zip(terminals, acc / (12.0 * h))))
-
-
 def current_at(
     config: ModelConfig, t: float, terminal: str, *, boundary: str = "left"
 ) -> float:
@@ -185,14 +141,16 @@ def amplification(
     divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
 ) -> AmplificationResult:
-    """alpha_X(t) from five runs with the modulating bath at T + k*h."""
+    """alpha_X(t) from the exact derivatives dJ/dT_mod of one
+    ``sample_tangents`` call."""
     if terminal not in config.system_terminals:
         raise ValueError(f"unknown terminal {terminal!r}")
     mod = config.modulating_terminal
     if terminal == mod:
         raise ValueError(f"terminal {terminal!r} is the modulating one")
-    _, deriv = _stencil([config], [t], boundary)
-    dJX, dJM = float(deriv[terminal][0, 0]), float(deriv[mod][0, 0])
+    _, deriv = sample_tangents([config], [t], boundary)
+    index = config.system_terminals.index
+    dJX, dJM = (float(deriv[0, 0, index(x)]) for x in (terminal, mod))
     alpha = float(_alpha(dJX, dJM, divergence_tol))
     return AmplificationResult(terminal, t, alpha, dJX, dJM, math.isnan(alpha))
 
@@ -208,9 +166,9 @@ def find_critical_TM(
 ) -> float:
     """Temperature of the modulating bath where dJ_mod/dT crosses zero.
 
-    Bisection on the stencil derivative; requires a sign change across the
+    Bisection on the exact derivative; requires a sign change across the
     bracket and resolves the root to ``tol`` (absolute, in temperature units).
-    Both bracket endpoints are read in one stencil call.
+    Both bracket endpoints are read in one ``sample_tangents`` call.
     """
     mod = config.modulating_terminal
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -218,9 +176,10 @@ def find_critical_TM(
         raise ValueError(f"bad bracket {bracket}")
 
     def djm(*temps: float) -> List[float]:
-        _, deriv = _stencil([config.with_temperature(mod, T) for T in temps],
-                            [t], boundary)
-        return [float(d) for d in deriv[mod][:, 0]]
+        _, deriv = sample_tangents(
+            [config.with_temperature(mod, T) for T in temps], [t], boundary)
+        column = config.system_terminals.index(mod)
+        return [float(d) for d in deriv[:, 0, column]]
 
     f_lo, f_hi = djm(lo, hi)
     if f_lo == 0.0:
@@ -274,8 +233,8 @@ def sweep(
     evaluation time ``t`` is required.  ``terminals`` (default: all but the
     modulating one) get alpha columns.  Grid points run in series.
     Per-point failures are recorded on the point and do not abort the sweep;
-    the points of a T_M sweep share one stencil call, so an error raised
-    inside that call is recorded on each of them.
+    the points of a T_M sweep share one ``sample_tangents`` call, so an
+    error raised inside that call is recorded on each of them.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -299,29 +258,26 @@ def sweep(
     derivatives = {x: np.full(n, np.nan) for x in config.system_terminals}
 
     def fill(rows: List[int], configs: List[ModelConfig], times) -> None:
-        center, deriv = _stencil(configs, times, boundary)
-        for x in config.system_terminals:
-            currents[x][rows] = center[x].ravel()
-            derivatives[x][rows] = deriv[x].ravel()
+        cur, deriv = sample_tangents(configs, times, boundary)
+        for i, x in enumerate(config.system_terminals):
+            currents[x][rows] = cur[..., i].ravel()
+            derivatives[x][rows] = deriv[..., i].ravel()
 
     if axis == "t":
         sd = config.sample_dt
         off = np.abs(grid / sd - np.round(grid / sd))
         if np.any(off > 1e-9):
             raise ValueError("time grid points must be sample_dt multiples")
-        # one stencil covers every requested time
+        # one call covers every requested time
         fill(list(range(n)), [config], grid)
     else:
         valid = {}
         for i, value in enumerate(grid):
             try:
-                cfg = _point_config(config, axis, float(value))
-                _check_stencil_domain(cfg)
+                valid[i] = _point_config(config, axis, float(value))
             except Exception as exc:  # recorded per point, sweep continues
                 errors[i] = f"{type(exc).__name__}: {exc}"
-            else:
-                valid[i] = cfg
-        # every T_M point has the same H_tot, so one stencil serves them all
+        # every T_M point has the same H_tot, so one call serves them all
         batches = [list(valid)] if axis == "T_M" and valid else \
             [[i] for i in valid]
         for batch in batches:

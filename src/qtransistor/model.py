@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -121,12 +122,14 @@ class EnvSpec:
 class ModelConfig:
     """Full simulation setup: couplings, environment, collision grid."""
 
+    # not a setting: derivatives are exact, and finite-difference checks
+    # of them (``metrics.five_point_derivative``) take this step
+    stencil_h: ClassVar[float] = 0.05
     coupling: CouplingConfig
     env: EnvSpec
     g: float = 4.0
     dt_collision: float = 0.5
     sample_dt: float = 0.01
-    stencil_h: float = 0.05
     n_qubits: int = 3
 
     def __post_init__(self):
@@ -143,23 +146,21 @@ class ModelConfig:
             raise ValueError(
                 f"sample_dt {self.sample_dt} does not divide the collision "
                 f"window {self.dt_collision}")
-        if self.stencil_h <= 0:
-            raise ValueError(
-                f"stencil_h must be positive, got {self.stencil_h}")
 
     @staticmethod
     def default(preset: str = "baseline", **overrides) -> "ModelConfig":
-        """Reference setup: delta = 3, g = 4, T_L = 4, T_M = T_R = 10."""
-        delta = overrides.pop("delta", 3.0)
+        """Reference setup: delta = 3 (5 on appendixA), g = 4, T_L = 4,
+        T_M = T_R = 10."""
+        delta = overrides.pop("delta",
+                              5.0 if preset == "appendixA" else 3.0)
         env_keys = {f.name for f in dataclasses.fields(EnvSpec)}
         env_over = {k: overrides.pop(k) for k in list(overrides)
                     if k in env_keys}
         n = overrides.pop("n_qubits", 3)
         if preset == "appendixA":
             n = 2
-            delta = overrides.pop("appendix_delta", 5.0)
             env_over.setdefault("attach_M", False)
-        env = EnvSpec(delta=env_over.pop("env_delta", delta), **env_over)
+        env = EnvSpec(delta=delta, **env_over)
         coupling = CouplingConfig.preset(preset, delta=delta)
         return ModelConfig(coupling=coupling, env=env, n_qubits=n,
                            **overrides)

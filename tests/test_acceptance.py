@@ -229,7 +229,7 @@ def test_criterion_08_backflow_confined_to_early_times():
 
 
 def test_criterion_09_two_qubit_amplification_window():
-    grid = _grid(0.2, 4.0, 0.05)  # lower edge keeps the stencil physical
+    grid = _grid(0.2, 4.0, 0.05)  # appendixA's default grid
     cfg = ModelConfig.default("appendixA", T_R=4.0)
     mags = np.abs(_alphas(sweep(cfg, "T_M", grid, terminals=("R",),
                                 t=1.0), "R"))

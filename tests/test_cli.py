@@ -64,7 +64,6 @@ def test_full_document_round_trip():
         t_max = 2.0
         [model]
         g = 3.5
-        h = 0.04
         T_M = 9.0
         kind = qutrit-nonlinear
         epsilon = -0.01
@@ -77,8 +76,6 @@ def test_full_document_round_trip():
     assert rc.scenario == "fig12"
     assert rc.out_dir == "/tmp/somewhere"
     assert rc.workers == 3 and rc.boundary == "right"
-    # "h" lands on the model's stencil_h field
-    assert rc.overrides["stencil_h"] == 0.04
     assert rc.overrides["t_max"] == 2.0
     assert rc.overrides["attach_M"] is False
     assert rc.search == SearchConfig(10, 12, 0.01)
@@ -313,8 +310,8 @@ def test_combined_model_validation_runs_last():
 
 def test_set_overrides_split_and_map():
     overrides, blp = parse_set_overrides(
-        ["g=3.5", "h=0.04", "t=1.5", "grid_theta=8"])
-    assert overrides == {"g": 3.5, "stencil_h": 0.04, "t": 1.5}
+        ["g=3.5", "t=1.5", "grid_theta=8"])
+    assert overrides == {"g": 3.5, "t": 1.5}
     assert blp == {"grid_theta": 8}
 
 
@@ -327,6 +324,16 @@ def test_set_overrides_diagnostics():
     assert "unknown key 'zeta'" in msgs[1]
     assert "not a valid number" in msgs[2]
     assert "out of domain" in msgs[3]
+
+
+@pytest.mark.parametrize("key", ("h", "env_delta", "appendix_delta"))
+def test_removed_model_keys_are_unknown(key):
+    # derivatives are exact, so there is no stencil step to set; the two
+    # delta variants were never read by any model
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in"):
+        parse_config(f"[run]\nscenario = fig2\n[model]\n{key} = 4\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_set_overrides([f"{key}=4"])
 
 
 # ---------------------------------------------------------------- output
@@ -365,13 +372,14 @@ def test_render_table_writes_signed_zero_nan_and_inf():
 
 def test_sweep_table_records_failures_as_nan_rows():
     cfg = ModelConfig.default(sample_dt=0.1)
-    res = metrics.sweep(cfg, "T_M", [0.05, 5.0], t=0.5)
+    res = metrics.sweep(cfg, "T_M", [0.0, 5.0], t=0.5)
     tb = sweep_table(res, "sweep_T_M")
     names = [n for n, _ in tb.columns]
     assert names == ["T_M", "J_L", "J_M", "J_R",
                      "dJL_dTM", "dJM_dTM", "dJR_dTM",
                      "alpha_L", "alpha_R"]
-    assert tb.errors[0].startswith("ValueError")
+    assert tb.errors[0] == ("ValueError: T_M must be positive for an "
+                            "attached terminal, got 0.0")
     assert all(math.isnan(v) for v in tb.rows[0][1:])
     assert tb.errors[1] == "" and math.isfinite(tb.rows[1][1])
     renamed = sweep_table(res, "sweep_T_M", "L")
@@ -851,16 +859,16 @@ def test_partial_failure_keeps_tables_and_returns_one(tmp_path, capsys):
         sample_dt = 0.1
         [sweep]
         axis = T_M
-        start = 0.05
+        start = 0.0
         stop = 5.0
-        step = 4.95
+        step = 5.0
         """), encoding="utf-8")
     out = tmp_path / "partial"
     assert cli.main(["run", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_PARTIAL
     assert "failed" in capsys.readouterr().err
     lines = (out / "sweep_T_M.csv").read_text(encoding="utf-8").splitlines()
-    assert "physical domain" in lines[1]
+    assert "T_M must be positive" in lines[1]
     assert lines[2].endswith(",")  # second point clean
     data = json.loads((out / MANIFEST_NAME).read_text())
     assert data["status"] == "partial" and data["failed_points"] == 1
@@ -869,9 +877,9 @@ def test_partial_failure_keeps_tables_and_returns_one(tmp_path, capsys):
 def test_a_sweep_whose_every_point_failed_keeps_its_columns(tmp_path):
     # the columns are the terminals asked for, not those of a clean point
     headers = []
-    for stop, step in ((0.08, 0.03), (5.0, 4.95)):  # all failed, one clean
+    for stop, step in ((0.0, 0.03), (4.97, 5.0)):  # all failed, one clean
         cfg = tmp_path / f"stop{stop}.ini"
-        cfg.write_text(SWEEP_DOC.replace("start = 5.0", "start = 0.05")
+        cfg.write_text(SWEEP_DOC.replace("start = 5.0", "start = -0.03")
                        .replace("stop = 6.0", f"stop = {stop}")
                        .replace("step = 0.5", f"step = {step}"),
                        encoding="utf-8")
@@ -880,7 +888,7 @@ def test_a_sweep_whose_every_point_failed_keeps_its_columns(tmp_path):
                          "--out", str(out)]) == EXIT_PARTIAL
         lines = (out / "sweep_T_M.csv").read_text(
             encoding="utf-8").splitlines()
-        assert "physical domain" in lines[1]
+        assert "T_M must be positive" in lines[1]
         headers.append(lines[0])
     assert headers[0] == headers[1]
     assert len(headers[0].split(",")) == 1 + 3 + 3 + 2 + 1  # + error
@@ -942,5 +950,5 @@ def test_manifest_parameters_resolve_the_model():
     # and every field of the resolved model, nested ones as dicts
     assert set(params["base_model"]) == {"coupling", "env", "g",
                                          "dt_collision", "sample_dt",
-                                         "stencil_h", "n_qubits"}
+                                         "n_qubits"}
     assert params["base_model"]["env"]["T_M"] == 10.0

@@ -77,8 +77,9 @@ def test_step_collision_matches_evolve():
     cfg = coarse()
     steps = cfg.samples_per_collision
     prop = Propagator([cfg], np.arange(steps + 1))
-    pi, cur1 = prop.collision(np.diagonal(initial_state(3)).real[None])
-    pi, cur2 = prop.collision(pi)
+    pi = np.diagonal(initial_state(3)).real[None]
+    pi, dpi, cur1, _ = prop.collision(pi, np.zeros_like(pi))
+    pi, dpi, cur2, _ = prop.collision(pi, dpi)
 
     traj = evolve(cfg, 1.0, store_states=True)
     # rows 1..steps of each window; row 0 of the first is the attach
@@ -306,7 +307,7 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
 def test_cores_shared_exactly_across_temperatures_and_grids(
         cfg, t_m, t_r, sample_dt, dt_collision, changed):
     other = cfg.replace(T_M=t_m, T_R=t_r, sample_dt=sample_dt,
-                        dt_collision=dt_collision, stencil_h=0.1)
+                        dt_collision=dt_collision)
     if changed == "g":
         other = other.replace(g=cfg.g + 1.0)
     elif changed == "epsilon":
@@ -397,8 +398,10 @@ def test_transfer_equals_the_dense_unitary_sum_bit_for_bit(name):
     each = _transfer(core, cfg.dt_collision, np.eye(d_anc))
     assert np.array_equal(each, dense.transpose(2, 0, 1))
     hot = [cfg.replace(T_L=0.4, T_M=9.0, T_R=3.0), cfg]
-    assert np.array_equal(Propagator(hot, [0]).transfer,
-                          engine._mix(dense, _populations(hot)))
+    prop = Propagator(hot, [0])
+    p, dp = np.split(_populations(hot), 2)
+    assert np.array_equal(prop.transfer, engine._mix(dense, p))
+    assert np.array_equal(prop.dtransfer, engine._mix(dense, dp))
 
 
 def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
@@ -547,9 +550,8 @@ def test_sample_currents_need_one_shared_hamiltonian():
         sample_currents([cfg], [-0.1])
     with pytest.raises(ValueError, match="boundary"):
         sample_currents([cfg], [0.5], boundary="middle")
-    # temperatures and the stencil step may differ
-    ok = sample_currents([cfg, cfg.replace(T_L=7.0, T_R=2.0, stencil_h=0.1)],
-                         [0.5])
+    # temperatures may differ
+    ok = sample_currents([cfg, cfg.replace(T_L=7.0, T_R=2.0)], [0.5])
     assert ok.shape == (2, 1, 3)
 
 

@@ -233,6 +233,10 @@ def test_two_qubit_variant():
     # <00| -omega_L/2 sz - omega_R/2 sz - omega_LR sz sz |00>
     assert h[0, 0].real == pytest.approx(-0.5 - 1.0 - 5.0)
     assert build_total_hamiltonian(cfg).shape == (36, 36)
+    # delta sets the device's scale, 5 unless given
+    scaled = ModelConfig.default("appendixA", delta=4.0)
+    assert scaled.coupling.omega_LR == 4.0 and scaled.env.delta == 4.0
+    assert cfg.env.delta == 5.0
 
 
 @pytest.mark.parametrize("n_qubits", (2, 3))
