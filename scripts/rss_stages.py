@@ -1,9 +1,11 @@
 """Peak resident memory of one ``qtransistor run`` process, stage by stage.
 
-    python scripts/rss_stages.py WORKLOAD SEED
+    python scripts/rss_stages.py WORKLOAD SEED [KEY=VALUE ...]
 
 Generates the program inputs of benchmark workload WORKLOAD for SEED with
-``perfbench/workloads.py`` and runs them in this one fresh process, as
+``perfbench/workloads.py``, appends each KEY=VALUE as a ``--set`` pair
+after the workload's own (``backflow 905 t_max=6`` runs fig12 up to
+t = 6), and runs them in this one fresh process, as
 ``qtransistor run`` would: import numpy, import ``qtransistor.cli``,
 compute the tables, then write them and their manifest into a temporary
 directory.  After each stage, the interpreter's start included, it prints
@@ -19,6 +21,7 @@ run does.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import tempfile
@@ -35,6 +38,12 @@ def peak_mb() -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise OSError("no VmHWM line in /proc/self/status")
+
+
+def with_pairs(inputs, pairs):
+    """``inputs`` (a ``workloads.Inputs``) with the ``--set`` pairs
+    ``pairs`` after its own, so that they win."""
+    return dataclasses.replace(inputs, sets=inputs.sets + tuple(pairs))
 
 
 def run_stages(inputs, out_dir: Path) -> list:
@@ -68,12 +77,12 @@ def run_stages(inputs, out_dir: Path) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    inputs = workloads.generate(argv[0], int(argv[1]))
+    inputs = with_pairs(workloads.generate(argv[0], int(argv[1])), argv[2:])
     with tempfile.TemporaryDirectory() as tmp:
         stages = run_stages(inputs, Path(tmp))
     for name, mb in stages:

@@ -77,11 +77,12 @@ unitaries; M_0 is T.  A state is carried from window to window as the
 blocks its initial state occupies: the populations and the probed
 qubit's coherences for a BLP probe, all 2^n blocks for a general rho.
 The sample at row s of a window is the maps at tau_s applied to the
-blocks at the window's start (``_carried_blocks``).  Two readers take
-the carried blocks: ``sample_states`` scatters them into whole states,
-which ``evolve(store_states=True)`` stores, and ``sample_marginals``
-sums them into one qubit's 2 x 2 marginal, which is all the backflow
-search reads, so it never holds a whole state.
+blocks at the window's start (``_carried_blocks``).  Both readers
+scatter the carried blocks into whole states (``_whole_states``):
+``sample_states`` keeps them for ``evolve(store_states=True)``, and
+``sample_marginals`` reduces each yield by ``evolve``'s qubit marginal
+(``_batched_qubit_marginal``) to the 2 x 2 marginals that the backflow
+search reads, so it holds no state history.
 """
 
 from __future__ import annotations
@@ -508,20 +509,14 @@ class _DifferenceMaps:
         return out
 
 
-def _boltzmann_weights(config: ModelConfig, terminal: str):
-    """Populations q of one fresh ancilla at its terminal's temperature
-    T, and their derivative dq/dT = q o (E - <E>) / T^2.
+def _boltzmann_weights(e: np.ndarray, temperature: float):
+    """Populations q of a fresh ancilla of level energies ``e`` at
+    temperature T, and their derivative dq/dT = q o (e - <e>) / T^2.
 
-    The ancilla Hamiltonian is diagonal, so these are Boltzmann weights of
-    its diagonal E, normalized with the sum taken in ascending-energy
-    order; that is the diagonal ``model.ancilla_thermal_state`` finds
-    through ``eigh``, bit for bit.
+    Normalized with the sum taken in ascending-energy order, these are
+    the diagonal ``model.ancilla_thermal_state`` finds through ``eigh``,
+    bit for bit.
     """
-    h = build_env_local_hamiltonian(config.env)
-    e = np.diag(h).real
-    if np.count_nonzero(h - np.diag(e)):
-        raise ValueError("ancilla Hamiltonian is not diagonal")
-    temperature = config.env.temperature(terminal)
     order = np.argsort(e, kind="stable")
     weights = np.exp(-(1.0 / temperature) * (e[order] - e.min()))
     p = np.empty_like(weights)
@@ -534,21 +529,26 @@ def _populations(configs) -> np.ndarray:
     derivatives p'_e with respect to its modulating bath's temperature:
     one stack of shape (2 * len(configs), d_env).
 
-    One set of weights per distinct (terminal, temperature); they are
+    The configs share H_tot, so the ancilla Hamiltonian is read once and
+    one set of weights is made per distinct temperature.  They are
     multiplied in ``attached_terminals`` order, so each row of p is the
-    diagonal of the kron product of the fresh ancilla states, bit for
-    bit.  p' follows by the product rule, in which only the modulating
-    factor has a derivative; it is 0 when that terminal is detached.
+    diagonal of the kron product of the fresh ancilla states, bit for bit.
+    p' follows by the product rule, in which only the modulating factor
+    has a derivative; it is 0 when that terminal is detached.
     """
+    h = build_env_local_hamiltonian(configs[0].env)
+    e = np.diag(h).real
+    if np.count_nonzero(h - np.diag(e)):
+        raise ValueError("ancilla Hamiltonian is not diagonal")
     diagonals = {}
     rows, tangents = [], []
     for config in configs:
         p, dp = np.ones(1), np.zeros(1)
         for t in config.attached_terminals:
-            key = (t, config.env.temperature(t))
-            if key not in diagonals:
-                diagonals[key] = _boltzmann_weights(config, t)
-            q, dq = diagonals[key]
+            temperature = config.env.temperature(t)
+            if temperature not in diagonals:
+                diagonals[temperature] = _boltzmann_weights(e, temperature)
+            q, dq = diagonals[temperature]
             # dp is still 0 when the modulating factor comes
             dp = np.multiply.outer(p, dq) \
                 if t == config.modulating_terminal \
@@ -609,6 +609,18 @@ def _carried_blocks(config: ModelConfig, rho: np.ndarray,
             [..., 0])
 
 
+def _whole_states(blocks: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The states whose difference blocks ``deltas`` are ``blocks`` (as
+    ``_carried_blocks`` yields them), shape blocks.shape[:-2] + (d, d):
+    rho[a, a ^ delta] = x_delta[a], and every block not carried is
+    exactly 0."""
+    d_sys = blocks.shape[-1]
+    a = np.arange(d_sys)
+    out = np.zeros(blocks.shape[:-2] + (d_sys, d_sys), dtype=np.complex128)
+    out[..., a, a ^ deltas[:, None]] = blocks
+    return out
+
+
 def _sampled_initials(config: ModelConfig, initials, t_max: float):
     """(checked initial states stacked, number of windows, number of
     samples) of a run of ``initials`` up to ``t_max``."""
@@ -634,11 +646,9 @@ def sample_states(config: ModelConfig, initials,
     rho, n_col, n_samples = _sampled_initials(config, initials, t_max)
     d_sys = rho.shape[-1]
     deltas = _occupied_deltas(rho)
-    a = np.arange(d_sys)
-    column = a ^ deltas[:, None]
-    out = np.zeros((len(rho), n_samples, d_sys, d_sys), dtype=np.complex128)
+    out = np.empty((len(rho), n_samples, d_sys, d_sys), dtype=np.complex128)
     for samples, blocks in _carried_blocks(config, rho, deltas, n_col):
-        out[:, samples, a, column] = blocks
+        out[:, samples] = _whole_states(blocks, deltas)
     return out
 
 
@@ -648,13 +658,10 @@ def sample_marginals(config: ModelConfig, initials, sites,
     ``sample_states`` gives from ``initials[i]``, at every sample up to
     ``t_max``: shape (len(initials), n_samples, 2, 2).
 
-    Read straight off the carried difference blocks (``_carried_blocks``),
-    so no whole system state is formed.  With b the site's bit of the
-    system label, the populations are the delta = 0 block summed over
-    the labels with b clear and with b set, and the coherence <0|.|1> is
-    the delta = b block summed over the labels with b clear; each sum
-    runs over ascending labels, so the marginals are those of the states
-    bit for bit.  A block that no initial state occupies reads 0.
+    Each yield of the carry (``_carried_blocks``) is scattered into whole
+    states one site's probes at a time, and reduced by the marginal that
+    ``evolve`` stores (``_batched_qubit_marginal``), so the marginals are
+    those of the states bit for bit and no whole state history is held.
     """
     rho, n_col, n_samples = _sampled_initials(config, initials, t_max)
     d_sys = rho.shape[-1]
@@ -664,37 +671,15 @@ def sample_marginals(config: ModelConfig, initials, sites,
             np.any(sites >= config.n_qubits):
         raise ValueError(
             f"need one site in [0, {config.n_qubits}) per initial state")
-    bit = 1 << (config.n_qubits - 1 - sites)
-    # per state, the labels with its bit clear, ascending (k with a 0
-    # put in at the bit); with it set, the same labels plus the bit
-    k = np.arange(d_sys // 2)
-    low = k & (bit[:, None] - 1)
-    clear = ((k - low) << 1) | low
-    # the carried index of each block read, -1 where it is not carried
-    position = np.full(d_sys, -1)
-    position[deltas] = np.arange(len(deltas))
-    index = position[np.stack([np.zeros_like(bit), bit], axis=1)]
-    carried = (index >= 0)[:, [0, 0, 1]]
-    index = np.maximum(index, 0)
-    # entries read from each state's flattened blocks: the populations
-    # with its bit clear and set, then the coherences <0|.|1>
-    take = np.stack([index[:, :1] * d_sys + clear,
-                     index[:, :1] * d_sys + (clear | bit[:, None]),
-                     index[:, 1:] * d_sys + clear], axis=1)
-    take = take.reshape(len(rho), -1)
-    state = np.arange(len(rho))[:, None]
-    out = np.zeros((len(rho), n_samples, 2, 2), dtype=np.complex128)
+    # one site's probes at a time, so that the scattered states stay small
+    groups = [np.flatnonzero(sites == site) for site in range(config.n_qubits)]
+    out = np.empty((len(rho), n_samples, 2, 2), dtype=np.complex128)
     for samples, blocks in _carried_blocks(config, rho, deltas, n_col):
-        picked = blocks.reshape(blocks.shape[:2] + (-1,))[state, :, take]
-        picked = picked.reshape(len(rho), 3, d_sys // 2, -1)
-        # added left to right, as ``_batched_qubit_marginal`` adds; a sum
-        # reduction would add the first term last
-        entries = picked[:, :, 0]
-        for j in range(1, d_sys // 2):
-            entries = entries + picked[:, :, j]
-        entries = entries * carried[..., None]  # (states, 3, samples read)
-        out[:, samples, [0, 1, 0], [0, 1, 1]] = entries.swapaxes(1, 2)
-        out[:, samples, 1, 0] = entries[:, 2].conj()
+        for site, mine in enumerate(groups):
+            states = _whole_states(blocks[mine], deltas)
+            out[mine, samples] = _batched_qubit_marginal(
+                states.reshape(-1, d_sys, d_sys), config.n_qubits,
+                site).reshape(states.shape[:2] + (2, 2))
     return out
 
 

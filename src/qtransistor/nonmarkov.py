@@ -30,15 +30,15 @@ their directions in blocks whose distance table stays under 128 KiB
 (``_antipodal_rises``), so the search's memory does not grow with the
 directions times the samples.
 
-Every marginal is read by ``engine.sample_marginals`` straight off the
+Every marginal comes from ``engine.sample_marginals``, out of the
 difference blocks rho[a, a ^ delta] of the system state that the engine
 carries from window to window; the probes of several terminals share one
 call.  A probe state probe (x) |0...0> occupies at most two of them, the
 populations (delta = 0) and the probed qubit's coherences (delta its
-bit); only those are carried, each on its own 2^n x 2^n map, and the
-probe's marginal is a sum of their entries, so no whole system state is
-formed.  The reported optimum of ``blp_measure`` is re-evaluated by
-evolving the pair itself before being returned.
+bit); only those are carried, each on its own 2^n x 2^n map, and each
+sample step's states are reduced by the engine's one marginal rule, so
+no state history is held.  The reported optimum of ``blp_measure`` is
+re-evaluated by evolving the pair itself before being returned.
 """
 
 from __future__ import annotations

@@ -555,6 +555,21 @@ def test_sample_currents_need_one_shared_hamiltonian():
     assert ok.shape == (2, 1, 3)
 
 
+def test_one_reader_call_reads_the_ancilla_hamiltonian_once(monkeypatch):
+    cfg = ModelConfig.default()
+    sample_currents([cfg], [1.0])  # the shared core is built here
+    calls, build = [], engine.build_env_local_hamiltonian
+
+    def counted(env):
+        calls.append(env)
+        return build(env)
+
+    monkeypatch.setattr(engine, "build_env_local_hamiltonian", counted)
+    sample_currents([cfg], [1.0])
+    # three attached terminals share one ancilla spectrum
+    assert len(calls) == 1
+
+
 def test_sample_currents_memory_stays_below_one_channel_per_config():
     cfg = ModelConfig.default()
     configs = [cfg.with_temperature("M", 4.0 + 0.05 * k) for k in range(120)]

@@ -1,5 +1,6 @@
 """Trace-distance backflow detection on the reduced qubit dynamics."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -142,7 +143,7 @@ def test_probe_marginals_are_those_of_the_sampled_states(name):
                          for s, i in zip(states, sites)])
         n_times = round(1 + 10 * t_max)
         assert got.shape == want.shape == (len(probes), n_times, 2, 2)
-        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got, want)
         assert np.array_equal(got, got.conj().swapaxes(-1, -2))
         trace = np.trace(got, axis1=-2, axis2=-1)
         assert np.max(np.abs(trace - 1.0)) <= 1e-14
@@ -221,6 +222,19 @@ def test_reported_value_comes_from_the_reported_series(measured_M):
 def test_optimal_pair_is_antipodal(measured_M):
     s1, s2 = measured_M.optimal_pair
     assert np.allclose(s2.bloch_vector, -s1.bloch_vector, atol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ("symmetric", "asymmetric"))
+def test_late_backflow_needs_the_direct_left_right_coupling(preset):
+    # criterion 08's late growths come from the closed L-M-R loop: with
+    # omega_LR = 0 the couplings form an open chain and none is left
+    cfg = ModelConfig.default(preset)
+    cfg = dataclasses.replace(
+        cfg, coupling=dataclasses.replace(cfg.coupling, omega_LR=0.0))
+    for terminal in ("L", "M", "R"):
+        res = blp_measure(cfg, terminal, 3.0)
+        late = (np.diff(res.distance_series) > 1e-3) & (res.times[1:] > 1.5)
+        assert not late.any(), (terminal, res.times[1:][late])
 
 
 @functools.lru_cache(maxsize=None)

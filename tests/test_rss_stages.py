@@ -19,19 +19,29 @@ rss_stages = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(rss_stages)
 sys.path.insert(0, str(rss_stages.ROOT / "perfbench"))
 import workloads
-inputs = workloads.sweep_inputs("T_M", 4.0, 0.25, 2, 1.0, {})
+inputs = rss_stages.with_pairs(
+    workloads.sweep_inputs("T_M", 4.0, 0.25, 2, 1.0, {"T_L": 4.0}),
+    sys.argv[3:])
 stages = rss_stages.run_stages(inputs, Path(sys.argv[2]))
 print(json.dumps(stages))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="VmHWM is read from /proc/self/status")
-def test_stages_of_a_tiny_sweep(tmp_path):
+needs_vmhwm = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(),
+    reason="VmHWM is read from /proc/self/status")
+
+
+def run_probe(out: Path, *pairs: str) -> list:
     done = subprocess.run([sys.executable, "-c", PROBE, str(SCRIPT),
-                           str(tmp_path)], capture_output=True, text=True,
+                           str(out), *pairs], capture_output=True, text=True,
                           check=True)
-    stages = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@needs_vmhwm
+def test_stages_of_a_tiny_sweep(tmp_path):
+    stages = run_probe(tmp_path)
     assert [name for name, _ in stages] == [
         "interpreter start", "import numpy", "import qtransistor.cli",
         "after compute", "after the tables"]
@@ -41,6 +51,15 @@ def test_stages_of_a_tiny_sweep(tmp_path):
         encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@needs_vmhwm
+def test_extra_pairs_are_set_after_the_workload_s_own(tmp_path):
+    # the workload sets T_L = 4.0; the extra pair follows it and wins
+    run_probe(tmp_path, "T_L=3.5")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(
+        encoding="utf-8"))
+    assert manifest["parameters"]["overrides"]["T_L"] == 3.5
 
 
 def test_usage_without_two_arguments():
