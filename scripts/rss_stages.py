@@ -9,9 +9,14 @@ t = 6), and runs them in this one fresh process, as
 ``qtransistor run`` would: import numpy, import ``qtransistor.cli``,
 compute the tables, then write them and their manifest into a temporary
 directory.  After each stage, the interpreter's start included, it prints
-the stage and the process's peak resident memory so far (``VmHWM`` of
-``/proc/self/status``, so Linux only), in MB of 2^20 bytes, the unit of
-the benchmark's ``peak_rss_mb``.
+the stage, the process's peak resident memory so far (``VmHWM``), and
+its resident memory now split into anonymous pages (``RssAnon``: heap,
+arrays, stacks) and file-backed ones (``RssFile``: the mapped code and
+data of the interpreter and its libraries), all read from
+``/proc/self/status`` (so Linux only), in MB of 2^20 bytes, the unit of
+the benchmark's ``peak_rss_mb``.  A saving in ``RssFile`` is library code
+a run no longer touches; one in ``RssAnon`` is memory it no longer
+allocates.
 
 Importing ``qtransistor`` first sets ``OPENBLAS_NUM_THREADS=1`` unless it
 is exported; numpy is imported first here, so the script applies the same
@@ -31,13 +36,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def peak_mb() -> float:
-    """``VmHWM`` of this process, in MB of 2^20 bytes."""
+COLUMNS = ("VmHWM", "RssAnon", "RssFile")
+
+
+def memory_mb() -> dict:
+    """``COLUMNS`` of this process's ``/proc/self/status``, each in MB of
+    2^20 bytes."""
+    out = {}
     with open("/proc/self/status", encoding="ascii") as status:
         for line in status:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise OSError("no VmHWM line in /proc/self/status")
+            name, _, value = line.partition(":")
+            if name in COLUMNS:
+                out[name] = int(value.split()[0]) / 1024.0
+    missing = [name for name in COLUMNS if name not in out]
+    if missing:
+        raise OSError(f"no {', '.join(missing)} in /proc/self/status")
+    return out
 
 
 def with_pairs(inputs, pairs):
@@ -48,16 +62,16 @@ def with_pairs(inputs, pairs):
 
 def run_stages(inputs, out_dir: Path) -> list:
     """Run ``inputs`` (a ``workloads.Inputs``) with its tables written
-    under ``out_dir``: [(stage, peak MB)] after each stage."""
-    stages = [("interpreter start", peak_mb())]
+    under ``out_dir``: [(stage, ``memory_mb()``)] after each stage."""
+    stages = [("interpreter start", memory_mb())]
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy  # noqa: F401
-    stages.append(("import numpy", peak_mb()))
+    stages.append(("import numpy", memory_mb()))
     sys.path.insert(0, str(ROOT / "src"))
     from qtransistor import cli
     from qtransistor.config import manifest_parameters, run_tables
     from qtransistor.output import write_manifest, write_table
-    stages.append(("import qtransistor.cli", peak_mb()))
+    stages.append(("import qtransistor.cli", memory_mb()))
 
     ini = out_dir / "run.ini"
     ini.write_text(inputs.ini, encoding="utf-8")
@@ -66,13 +80,13 @@ def run_stages(inputs, out_dir: Path) -> list:
     t0 = time.perf_counter()
     rc = cli._load_run_config(args)
     tables = run_tables(rc)
-    stages.append(("after compute", peak_mb()))
+    stages.append(("after compute", memory_mb()))
     out = cli._resolve_out_dir(rc)
     paths = [write_table(tb, out) for tb in tables]
     write_manifest(out, parameters=manifest_parameters(rc), files=paths,
                    duration_seconds=time.perf_counter() - t0,
                    failed_points=sum(tb.failed_rows for tb in tables))
-    stages.append(("after the tables", peak_mb()))
+    stages.append(("after the tables", memory_mb()))
     return stages
 
 
@@ -85,8 +99,9 @@ def main(argv) -> int:
     inputs = with_pairs(workloads.generate(argv[0], int(argv[1])), argv[2:])
     with tempfile.TemporaryDirectory() as tmp:
         stages = run_stages(inputs, Path(tmp))
+    print(f"{'stage (MB)':<24}" + "".join(f"{c:>10}" for c in COLUMNS))
     for name, mb in stages:
-        print(f"{name:<24}{mb:8.2f} MB")
+        print(f"{name:<24}" + "".join(f"{mb[c]:10.2f}" for c in COLUMNS))
     return 0
 
 

@@ -13,10 +13,17 @@ H_tot.  H_tot splits into the 2^n sectors of their joint eigenvalues,
 all of one size: 8 sectors of 27 at the default 216 joint dimensions.
 The sector blocks are filled straight from the entries of H_tot
 (``model.hamiltonian_entries``), all of them diagonalized in one call,
-and cached once per parameter set as eigenvalues w and eigenvectors V;
-the window unitary at tau is fixed by the phases u = exp(-i tau w).  No
-joint-space matrix is formed: everything else is read off the d_env x
-d_env sector stacks by the code that needs it.
+and cached once per parameter set as eigenvalues w and eigenvectors V.
+Every entry of H_tot is real, and a core refuses one that is not, so w
+and V are real and the engine runs on real arithmetic: the window
+unitary at tau is
+
+    U = V diag(exp(-i tau w)) V^T = C - i S,
+    C = V diag(cos tau w) V^T,   S = V diag(sin tau w) V^T,
+
+from real products, and |U|^2 = C^2 + S^2.  No joint-space matrix is
+formed: everything else is read off the d_env x d_env sector stacks by
+the code that needs it.
 
 Heat currents come from the conserved-commutator form
 
@@ -39,12 +46,17 @@ tau_s = s * sample_dt after the attach, is
     J_X = sum_{a, e} pi_n[a] p_e c_s^X[(a, e)],
     c_s^X[i] = <i| U_s^dagger K_X U_s |i>,
 
-a diagonal functional that each sector gives as
-rowsum((W_s K_X') o conj(W_s)), with W_s = V diag(conj(u_s)) and K_X' the
-generator in the sector eigenbasis, formed by the ``Propagator`` that
-reads it.  T and c are linear in p, and bath
+a diagonal functional.  In the sector eigenbasis the generator is
+K_X' = i G_X with G_X real and antisymmetric, formed by the
+``Propagator`` that reads it, and each sector gives
+
+    c_s^X = -2 rowsum((B_s G_X) o A_s),
+    A_s = V diag(cos tau_s w),   B_s = V diag(sin tau_s w),
+
+the real part of rowsum((W_s K_X') o conj(W_s)) with W_s = A_s + i B_s,
+whose imaginary part vanishes.  T and c are linear in p, and bath
 temperatures enter only through p, so one core serves every temperature.
-A detached X has K_X = 0 exactly, and its current is an exact zero.
+A detached X has G_X = 0 exactly, and its current is an exact zero.
 
 The same linearity gives exact derivatives in the modulating bath's
 temperature T_mod.  Only the modulating ancilla's Boltzmann factor
@@ -73,11 +85,12 @@ channel
 with U_fe the system blocks of U, is covariant under every local parity,
 so it moves each difference block x_delta[a] = rho[a, a ^ delta] (XOR of
 the system labels) on its own 2^n x 2^n map M_delta, read off the sector
-unitaries; M_0 is T.  A state is carried from window to window as the
-blocks its initial state occupies: the populations and the probed
-qubit's coherences for a BLP probe, all 2^n blocks for a general rho.
-The sample at row s of a window is the maps at tau_s applied to the
-blocks at the window's start (``_carried_blocks``).  Both readers
+unitaries by real products of their elementwise summands; M_0 is T.  A
+state is carried from window to window as the blocks its initial state
+occupies: the populations and the probed qubit's coherences for a BLP
+probe, all 2^n blocks for a general rho.  The sample at row s of a
+window is the maps at tau_s applied to the blocks at the window's start
+(``_carried_blocks``), summed elementwise (``_apply``).  Both readers
 scatter the carried blocks into whole states (``_whole_states``):
 ``sample_states`` keeps them for ``evolve(store_states=True)``, and
 ``sample_marginals`` reduces each yield by ``evolve``'s qubit marginal
@@ -100,9 +113,6 @@ from .model import (ModelConfig, SpinOps, build_env_local_hamiltonian,
 
 BOUNDARY_SIDES = ("left", "right")
 
-# currents are real observables; larger residues indicate a broken state
-_IMAG_TOL = 1e-8
-
 
 def initial_state(n_qubits: int = 3) -> np.ndarray:
     """|0...0><0...0| on the system qubits (each local sz = +1)."""
@@ -124,7 +134,9 @@ class _Core:
     are stacked over the sectors: ``index`` (ascending joint indices) and
     ``w`` of shape (d_sys, d_env), ``v`` of (d_sys, d_env, d_env), all
     sectors diagonalized in one ``hermitian_eig`` call.  The joint-space
-    matrix is never formed (``_sector_hamiltonian``).
+    matrix is never formed (``_sector_hamiltonian``).  H_tot is real: a
+    block with a nonzero imaginary entry is refused, and the real blocks
+    give real ``w`` and ``v``.
     """
 
     def __init__(self, config: ModelConfig):
@@ -132,7 +144,11 @@ class _Core:
         self.d_sys = 2 ** config.n_qubits
         self.terminals = config.system_terminals
         self.index, blocks = _sector_hamiltonian(config)
-        self.w, self.v = hermitian_eig(blocks)
+        if np.any(blocks.imag):
+            raise ValueError(
+                "H_tot has an entry with a nonzero imaginary part; the "
+                "engine runs on real spectra")
+        self.w, self.v = hermitian_eig(blocks.real)
 
 
 def _sector_hamiltonian(config: ModelConfig):
@@ -161,34 +177,27 @@ def _sector_hamiltonian(config: ModelConfig):
 
 
 def _current_generators(core: _Core, config: ModelConfig) -> list:
-    """Current generator K_X = i [H_X, H_tot] of each terminal in the
-    sector eigenbases, one (d_sys, d_env, d_env) stack per terminal.
+    """Current generator of each terminal in the sector eigenbases, as
+    the real G_X with K_X' = i G_X, one (d_sys, d_env, d_env) stack per
+    terminal.
 
-    H_X = -(omega_X / 2) sz_X is diagonal, sz_X = 1 - 2 m_X for qubit X's
-    level m_X, so K'_jk = i (H_X')_jk (w_k - w_j).  A detached X has no
-    coupling, so H_X commutes with H_tot and K_X = 0.
+    K_X = i [H_X, H_tot], and H_X = -(omega_X / 2) sz_X is diagonal,
+    sz_X = 1 - 2 m_X for qubit X's level m_X, so (G_X)_jk = (H_X')_jk
+    (w_k - w_j) with H_X' = V^T H_X V real symmetric, and G_X is
+    antisymmetric.  A detached X has no coupling, so H_X commutes with
+    H_tot and G_X = 0.
     """
     levels = np.indices(config.joint_dims()).reshape(-1, core.d)
     gap = core.w[:, None, :] - core.w[:, :, None]
-    v_dag = core.v.conj().swapaxes(1, 2)
+    v_t = core.v.swapaxes(1, 2)
     out = []
     for i, t in enumerate(core.terminals):
         if not config.env.is_attached(t):
             out.append(np.zeros_like(core.v))
             continue
         h_x = -(config.splitting(t) / 2.0) * (1.0 - 2.0 * levels[i])
-        out.append(1j * (v_dag @ (h_x[core.index][..., None] * core.v))
-                   * gap)
+        out.append((v_t @ (h_x[core.index][..., None] * core.v)) * gap)
     return out
-
-
-def _real_currents(cur: np.ndarray) -> np.ndarray:
-    """Real part of computed currents, after the imaginary-residue check."""
-    worst = float(np.max(np.abs(cur.imag), initial=0.0))
-    if worst > _IMAG_TOL:
-        raise FloatingPointError(
-            f"current has imaginary residue {worst:.3e}")
-    return np.ascontiguousarray(cur.real)
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,9 +237,10 @@ def _transfer(core: _Core, tau: float, p: np.ndarray) -> np.ndarray:
     """Population map T over ``tau`` for each row of ``p``, shape
     (len(p), d_sys, d_sys), with T_e[b, a] = sum_f |U[(b, f), (a, e)]|^2.
 
-    Read off the sector unitaries: ``np.add.at`` adds the rows (b, f) of
-    a sector into row b one at a time, in ascending joint index, so the
-    sum over f runs in ascending order.
+    Read off the sector unitaries U = C - i S, |U|^2 = C^2 + S^2:
+    ``np.add.at`` adds the rows (b, f) of a sector into row b one at a
+    time, in ascending joint index, so the sum over f runs in ascending
+    order.
     """
     u = _sector_unitaries(core, tau)
     n_sectors, d_env = core.index.shape
@@ -249,13 +259,19 @@ def _functionals(core: _Core, generators: list, tau: float,
     """Current functionals at ``tau`` into a window for each row of ``p``,
     shape (len(p), n_terminals, d_sys): J_X = F[c, X] . pi for config c
     whose window started at the populations pi.  ``generators`` are the
-    terminals' ``_current_generators``."""
-    w = core.v * np.exp(1j * tau * core.w)[:, None, :]  # V diag(conj(u))
-    w_conj = w.conj()
+    terminals' ``_current_generators`` G_X.
+
+    With A = V diag(cos tau w) and B = V diag(sin tau w), W = A + i B and
+    K_X' = i G_X, the real part of rowsum((W K_X') o conj(W)) is
+    rowsum((A G_X) o B) - rowsum((B G_X) o A), and its imaginary part
+    vanishes; G_X is antisymmetric, so both terms are equal and
+    c = -2 rowsum((B G_X) o A)."""
+    phase = tau * core.w[:, None, :]
+    cos_part, sin_part = core.v * np.cos(phase), core.v * np.sin(phase)
     # one terminal at a time, so that no temporary outgrows one sector
     # stack: glibc maps fresh pages for every block of 128 KiB or more
-    c = _real_currents(np.stack([np.sum((w @ k) * w_conj, axis=-1)
-                                 for k in generators]))
+    c = np.stack([-2.0 * np.sum((sin_part @ g) * cos_part, axis=-1)
+                  for g in generators])
     joint = np.empty((len(generators), core.d))
     joint[:, core.index] = c
     return _mix(joint.reshape(len(generators), core.d_sys, -1), p)
@@ -450,10 +466,19 @@ def _chain_currents(configs, window: np.ndarray, row: np.ndarray,
 
 
 def _sector_unitaries(core: _Core, tau: float) -> np.ndarray:
-    """U_sigma = V diag(exp(-i tau w)) V^dagger on each sector, shape
-    (n_sectors, d_env, d_env), rows and columns in ``index`` order."""
-    return (core.v * np.exp(-1j * tau * core.w)[:, None, :]) \
-        @ core.v.conj().swapaxes(1, 2)
+    """U_sigma = V diag(exp(-i tau w)) V^T = C - i S on each sector, with
+    C = V diag(cos tau w) V^T and S = V diag(sin tau w) V^T; shape
+    (n_sectors, d_env, d_env), rows and columns in ``index`` order.
+
+    C and -S come interleaved from one real product per sector: V times
+    diag(cos tau w) V^T and -diag(sin tau w) V^T, column by column, read
+    as complex."""
+    phase = tau * core.w[:, :, None]
+    v_t = core.v.swapaxes(1, 2)
+    right = np.empty(v_t.shape + (2,))
+    np.multiply(v_t, np.cos(phase), out=right[..., 0])
+    np.multiply(v_t, -np.sin(phase), out=right[..., 1])
+    return (core.v @ right.reshape(v_t.shape[:2] + (-1,))).view(np.complex128)
 
 
 class _DifferenceMaps:
@@ -471,6 +496,8 @@ class _DifferenceMaps:
     row (a, f) of a sector to a fixed row of one partner sector, so
     M_delta is U_sigma o conj(U_partner[perm, perm]) summed over the
     sectors, its rows gathered by a and its columns by b with weights p_e.
+    Both gathers are real, and each takes the real and imaginary parts of
+    the summand in one product.
     """
 
     def __init__(self, core: _Core, deltas: np.ndarray, p: np.ndarray):
@@ -490,13 +517,22 @@ class _DifferenceMaps:
                      for k, j in zip(partner, perm)]
         self.core = core
         gather = (system[:, None, :] == np.arange(core.d_sys)[:, None]
-                  ).astype(np.complex128)  # (n_sectors, d_sys, d_env)
-        self.cols = gather.swapaxes(1, 2) * p[ancilla][..., None]
+                  ).astype(float)  # (n_sectors, d_sys, d_env)
+        # each real column gather twice, (k, part) -> (b, part), so that
+        # one real product per sector contracts the real and imaginary
+        # parts of a complex summand seen as interleaved reals
+        self.cols = np.kron(gather.swapaxes(1, 2) * p[ancilla][..., None],
+                            np.eye(2))
         self.rows = gather.transpose(1, 0, 2).reshape(core.d_sys, -1)
 
     def at(self, tau: float) -> np.ndarray:
         """M_delta over ``tau`` for each delta, shape (n_deltas, d_sys,
-        d_sys)."""
+        d_sys).
+
+        The summand U o conj(U_partner) is formed elementwise; its real
+        and imaginary parts then take one real product with the column
+        gather per sector, and one with the row gather, so no complex
+        BLAS kernel runs."""
         u = _sector_unitaries(self.core, tau)
         d_sys = self.core.d_sys
         out = np.empty((len(self.mate), d_sys, d_sys), dtype=np.complex128)
@@ -504,8 +540,8 @@ class _DifferenceMaps:
         for i, mate in enumerate(self.mate):
             summand = np.take(u, mate)
             np.multiply(u, np.conjugate(summand, out=summand), out=summand)
-            out[i] = self.rows @ (summand @ self.cols).reshape(
-                self.rows.shape[::-1])
+            out[i].view(float)[:] = self.rows @ (
+                summand.view(float) @ self.cols).reshape(-1, 2 * d_sys)
         return out
 
 
@@ -566,6 +602,13 @@ def _occupied_deltas(rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero([np.any(rho[:, a, a ^ delta]) for delta in a])
 
 
+def _apply(maps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """M_delta x_delta for the maps ``maps`` (n_deltas, d, d) and blocks
+    of shape (..., n_deltas, d), summed elementwise rather than by a
+    complex BLAS product."""
+    return np.einsum("kab,...kb->...ka", maps, blocks)
+
+
 def _carried_blocks(config: ModelConfig, rho: np.ndarray,
                     deltas: np.ndarray, n_col: int):
     """The one window-to-window carry of the states ``rho``, on their
@@ -598,15 +641,13 @@ def _carried_blocks(config: ModelConfig, rho: np.ndarray,
                                _populations([config])[0])
         step = maps.at(config.dt_collision)
         for n in range(n_col):
-            starts[:, n + 1] = hermitized((step @ starts[:, n, ..., None])
-                                          [..., 0])
+            starts[:, n + 1] = hermitized(_apply(step, starts[:, n]))
     yield slice(None, None, steps), starts
     if not n_col:
         return
     for s in range(1, steps):
         yield slice(s, None, steps), hermitized(
-            (maps.at(config.sample_dt * s) @ starts[:, :-1, ..., None])
-            [..., 0])
+            _apply(maps.at(config.sample_dt * s), starts[:, :-1]))
 
 
 def _whole_states(blocks: np.ndarray, deltas: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Dense Hermitian linear algebra for small multipartite quantum systems.
 
-Everything operates on plain complex ndarrays.  Dimensions stay small
+Everything operates on plain complex ndarrays, with one exception:
+``hermitian_eig`` keeps a real symmetric matrix, or stack of them, real,
+so that LAPACK's real symmetric solver factorizes it and the
+eigenvectors are real.  Every other function returns complex arrays
+whatever its input's type.  Dimensions stay small
 (<= 216 for the largest joint space), so dense eigendecompositions are
 the workhorse: matrix exponentials, thermal states and trace distances
 are all evaluated through the spectrum.
@@ -24,14 +28,16 @@ class HermitianSpectrum(NamedTuple):
 
 
 def _as_square(a: np.ndarray, name: str = "matrix",
-               stacked: bool = False) -> np.ndarray:
+               stacked: bool = False, keep_real: bool = False) -> np.ndarray:
     """``a`` as complex, checked to be square; with ``stacked``, a stack
-    of square matrices over any leading axes is accepted too."""
+    of square matrices over any leading axes is accepted too, and with
+    ``keep_real`` a real ``a`` is returned as float64."""
     a = np.asarray(a)
     square = a.ndim >= 2 and a.shape[-2] == a.shape[-1]
     if not square or (a.ndim > 2 and not stacked):
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a.astype(np.complex128, copy=False)
+    real = keep_real and np.isrealobj(a)
+    return a.astype(np.float64 if real else np.complex128, copy=False)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -91,9 +97,11 @@ def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
     The input is checked against the hermiticity tolerance, once over the
     whole stack, and then symmetrized as (A + A^dagger)/2 before
     factorization, so tiny accumulated asymmetries cannot leak into the
-    spectrum.
+    spectrum.  A real input stays real: it is factorized by LAPACK's real
+    symmetric solver, and its eigenvectors are real.  Anything else is
+    factorized as complex.
     """
-    h = _as_square(h, "h", stacked=True)
+    h = _as_square(h, "h", stacked=True, keep_real=True)
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise ValueError(
@@ -105,7 +113,7 @@ def hermitian_eig(h: np.ndarray) -> HermitianSpectrum:
 
 def unitary_exp(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via the eigendecomposition."""
-    w, v = hermitian_eig(h)
+    w, v = hermitian_eig(_as_square(h, "h"))
     phases = np.exp(-1j * w * t)
     return (v * phases) @ v.conj().T
 
@@ -119,7 +127,7 @@ def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    w, v = hermitian_eig(h)
+    w, v = hermitian_eig(_as_square(h, "h"))
     weights = np.exp(-beta * (w - w.min()))
     weights /= weights.sum()
     rho = (v * weights) @ v.conj().T

@@ -46,6 +46,9 @@ __all__ = [
 # |dJ_mod/dT| below this marks alpha as divergent (near-critical denominator).
 DIVERGENCE_TOL = 1e-8
 
+# temperatures at which find_critical_TM reads its bracket, ends included
+CRITICAL_SCAN_POINTS = 65
+
 SWEEP_AXES = ("T_M", "t", "g", "epsilon")
 
 
@@ -166,43 +169,52 @@ def find_critical_TM(
 ) -> float:
     """Temperature of the modulating bath where dJ_mod/dT crosses zero.
 
-    Bisection on the exact derivative; requires a sign change across the
-    bracket and resolves the root to ``tol`` (absolute, in temperature units).
-    Both bracket endpoints are read in one ``sample_tangents`` call.
+    The exact derivative is read at ``CRITICAL_SCAN_POINTS`` evenly
+    spaced temperatures across the bracket, both ends included, in one
+    ``sample_tangents`` call.  A scan point where it is exactly 0 is a
+    root, and every sign change between neighbouring points is bisected
+    to ``tol`` (absolute, in temperature units), all of them together.
+    Exactly one root is returned; with none the error gives the
+    derivative at both ends, and with several it names each root.
     """
     mod = config.modulating_terminal
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bad bracket {bracket}")
 
-    def djm(*temps: float) -> List[float]:
+    def djm(temps) -> np.ndarray:
         _, deriv = sample_tangents(
-            [config.with_temperature(mod, T) for T in temps], [t], boundary)
-        column = config.system_terminals.index(mod)
-        return [float(d) for d in deriv[:, 0, column]]
+            [config.with_temperature(mod, float(T)) for T in temps], [t],
+            boundary)
+        return deriv[:, 0, config.system_terminals.index(mod)]
 
-    f_lo, f_hi = djm(lo, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    grid = np.linspace(lo, hi, CRITICAL_SCAN_POINTS)
+    f = djm(grid)
+    sign = np.sign(f)
+    change = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    a, b, f_a = grid[change], grid[change + 1], f[change]
+    for _ in range(max_iter):
+        if not change.size or 0.5 * np.max(b - a) < tol:
+            break
+        mid = 0.5 * (a + b)
+        f_mid = djm(mid)
+        # an exact zero closes its bracket on itself
+        zero = f_mid == 0.0
+        up = ~zero & (np.sign(f_mid) == np.sign(f_a))
+        a, b = np.where(up | zero, mid, a), np.where(up, b, mid)
+        f_a = np.where(up, f_mid, f_a)
+    roots = sorted(np.concatenate([grid[sign == 0], 0.5 * (a + b)]).tolist())
+    if not roots:
         raise ValueError(
             "no sign change of the modulating-bath current derivative across "
-            f"[{lo}, {hi}]: dJ({lo}) = {f_lo:.6e}, dJ({hi}) = {f_hi:.6e}"
+            f"[{lo}, {hi}]: dJ({lo}) = {f[0]:.6e}, dJ({hi}) = {f[-1]:.6e}"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (hi - lo) < tol:
-            return mid
-        f_mid, = djm(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+    if len(roots) > 1:
+        raise ValueError(
+            f"{len(roots)} roots of the modulating-bath current derivative "
+            f"across [{lo}, {hi}], at T = "
+            + ", ".join(f"{r:.6g}" for r in roots))
+    return roots[0]
 
 
 def _point_config(config: ModelConfig, axis: str, value: float) -> ModelConfig:

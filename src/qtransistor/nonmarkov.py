@@ -360,8 +360,9 @@ def _antipodal_search(
     ``_scan_directions``, each cutoff reading the backflow up to its own
     sample as a running sum, and each cutoff starts from its first best
     scan point.  A polish then scores 5 x 5 patches around every cutoff's
-    point, each patch's backflow up to its cutoff as one weighted sum,
-    and moves the point to the patch's best (the centre on ties).  A best
+    point, each patch's backflow up to its cutoff as one weighted sum
+    whose 0/1 weights are made per block, for its cutoffs only, and
+    moves the point to the patch's best (the centre on ties).  A best
     point inside the patch shrinks the next patch 4x; one on its edge
     moves the patch at the same spacing.  A cutoff is done after a patch
     at most ``refine_tol`` apart in theta and phi whose best point lies
@@ -379,8 +380,7 @@ def _antipodal_search(
     first = np.argmax(flow, axis=0)
     theta, phi, spacing = theta[first], phi[first], spacing[first]
 
-    # a patch reads each cutoff's own backflow as one weighted sum
-    upto = (np.arange(q.shape[-1] - 1) < cut[:, None]).astype(float)
+    steps = np.arange(q.shape[-1] - 1)
     todo = np.arange(len(cut))
     while todo.size:
         th = np.clip(theta[todo, None] + spacing[todo, :1] * _PATCH[:, 0],
@@ -388,7 +388,8 @@ def _antipodal_search(
         ph = phi[todo, None] + spacing[todo, 1:] * _PATCH[:, 1]
         val = np.empty(th.shape)
         for items, _, rise in _antipodal_rises(q, th, ph):
-            val[items] = (rise @ upto[todo[items], :, None])[..., 0]
+            upto = (steps < cut[todo[items], None]).astype(float)
+            val[items] = (rise @ upto[..., None])[..., 0]
         pick = np.argmax(val, axis=1)
         theta[todo] = th[np.arange(todo.size), pick]
         phi[todo] = ph[np.arange(todo.size), pick] % (2.0 * math.pi)

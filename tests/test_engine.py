@@ -429,6 +429,46 @@ def test_core_refuses_a_hamiltonian_that_mixes_parity_sectors(monkeypatch):
             _Core(cfg)
 
 
+def test_core_refuses_a_hamiltonian_with_an_imaginary_entry(monkeypatch):
+    # a Hermitian pair +-0.1i on one coupling entry and its transpose:
+    # every check but the realness one passes
+    entries = model.hamiltonian_entries
+
+    def with_imaginary(config):
+        diag, rows, cols, values = entries(config)
+        values = values.astype(np.complex128)
+        values[0] += 0.1j
+        values[np.flatnonzero((rows == cols[0]) & (cols == rows[0]))] -= 0.1j
+        return diag, rows, cols, values
+
+    monkeypatch.setattr(engine, "hamiltonian_entries", with_imaginary)
+    _, blocks = _sector_hamiltonian(coarse())
+    assert la.hermiticity_defect(blocks) == 0.0
+    assert np.count_nonzero(blocks.imag) == 2
+    with pytest.raises(ValueError, match="imaginary"):
+        _Core(coarse())
+
+
+def test_every_engine_eigh_gets_a_real_stack(monkeypatch):
+    dtypes, eig = [], engine.hermitian_eig
+
+    def recorded(h):
+        dtypes.append(np.asarray(h).dtype)
+        return eig(h)
+
+    monkeypatch.setattr(engine, "hermitian_eig", recorded)
+    engine._cached_core.cache_clear()
+    cfg = coarse()
+    for result in (sweep(cfg, "g", [3.9, 4.1], t=1.0),
+                   sweep(cfg, "T_M", [5.0, 7.5], t=1.0)):
+        assert not any(result.errors)
+    sample_states(cfg.replace(g=3.7), [None], 1.0)
+    engine.sample_marginals(cfg.replace(g=3.6), [None], [1], 1.0)
+    assert dtypes == [np.dtype(np.float64)] * 5
+    core = engine._core_for(cfg)
+    assert core.w.dtype == core.v.dtype == np.float64
+
+
 def test_engine_paths_never_build_the_dense_hamiltonian(monkeypatch):
     def refuse(config):
         raise AssertionError("the dense H_tot was built")
@@ -692,9 +732,9 @@ def test_core_keeps_its_spectral_data_per_parity_sector():
     assert core.index.shape == core.w.shape == (8, 27)
     assert core.v.shape == (8, 27, 27)
     sizes = [len(index) for index in core.index]
-    # per sector of size n: its indices, w and V, n x n
+    # per sector of size n: its indices, w and the real V, n x n
     assert sum(b.nbytes for b in buffers.values()) == \
-        sum(2 * n * 8 + n * n * 16 for n in sizes) == 96768
+        sum(2 * n * 8 + n * n * 8 for n in sizes) == 50112
     # the current generators are built by the Propagator that reads them,
     # one sector stack per terminal
     generators = _current_generators(core, cfg)

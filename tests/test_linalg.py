@@ -152,6 +152,26 @@ def test_eig_reconstruction_and_orthonormality():
     assert np.all(np.diff(w) >= 0)
 
 
+def test_eig_keeps_a_real_symmetric_stack_real():
+    a = rng.normal(size=(3, 6, 6))
+    h = (a + a.swapaxes(1, 2)) / 2.0
+    w, v = la.hermitian_eig(h)
+    assert w.dtype == v.dtype == np.float64
+    assert np.max(np.abs(v @ (w[..., None] * v.swapaxes(1, 2)) - h)) < 1e-12
+    w_complex, v_complex = la.hermitian_eig(h.astype(complex))
+    assert v_complex.dtype == np.complex128
+    assert np.max(np.abs(w - w_complex)) < 1e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        la.hermitian_eig(h + np.triu(np.ones((6, 6)), 1) * 1e-6)
+
+
+def test_the_other_functions_stay_complex_on_real_input():
+    h = np.diag([-3.0, 0.0, 3.0])
+    assert la.unitary_exp(h, 0.3).dtype == np.complex128
+    assert la.thermal_state(h, 0.25).dtype == np.complex128
+    assert la.kron(h, h).dtype == np.complex128
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         la.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -2,6 +2,7 @@
 criticality, sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,8 +227,54 @@ def test_no_sign_change_reports_both_endpoints(monkeypatch):
     msg = str(exc.value)
     assert "no sign change" in msg
     assert "dJ(4.0) = " in msg and "dJ(10.0) = " in msg
-    assert len(calls) == 1  # both endpoints from one call
-    assert len(calls[0][0]) == 2
+    # both endpoints from one call: the scan's ends
+    assert len(calls) == 1
+    assert len(calls[0][0]) == metrics.CRITICAL_SCAN_POINTS
+    temps = [c.env.temperature("M") for c in calls[0][0]]
+    assert temps[0] == 4.0 and temps[-1] == 10.0
+
+
+def with_derivative(monkeypatch, djm):
+    """Make the modulating derivative read djm(T_M) in ``metrics``; the
+    calls are counted, one list of temperatures per call."""
+    calls = []
+
+    def fake(configs, times, boundary="left"):
+        temps = [c.env.temperature("M") for c in configs]
+        calls.append(temps)
+        deriv = np.zeros((len(configs), len(times), 3))
+        deriv[:, :, 1] = np.array([djm(T) for T in temps])[:, None]
+        return np.zeros_like(deriv), deriv
+
+    monkeypatch.setattr(metrics, "sample_tangents", fake)
+    return calls
+
+
+def roots_named(message):
+    return [float(x) for x in
+            re.search(r"at T = (.*)$", message).group(1).split(", ")]
+
+
+def test_every_root_of_a_two_root_derivative_is_named(monkeypatch):
+    # both ends share a sign, so the ends alone show no sign change
+    calls = with_derivative(monkeypatch, lambda T: (T - 5.3) * (T - 8.1))
+    with pytest.raises(ValueError, match="2 roots") as exc:
+        find_critical_TM(ModelConfig.default(), 1.0, (4.0, 10.0))
+    found = roots_named(str(exc.value))
+    assert len(found) == 2
+    assert abs(found[0] - 5.3) < 1e-3 and abs(found[1] - 8.1) < 1e-3
+    # one scan, then both brackets halved together, one call per step
+    assert len(calls[0]) == metrics.CRITICAL_SCAN_POINTS
+    assert all(len(temps) == 2 for temps in calls[1:])
+
+
+def test_one_root_is_returned_and_a_scan_zero_is_a_root(monkeypatch):
+    with_derivative(monkeypatch, lambda T: 6.65 - T)
+    root = find_critical_TM(ModelConfig.default(), 1.0, (4.0, 10.0))
+    assert abs(root - 6.65) < 1e-3
+    # 7.0 is a scan point; the derivative is exactly zero there only
+    with_derivative(monkeypatch, lambda T: 0.0 if T == 7.0 else T - 7.0)
+    assert find_critical_TM(ModelConfig.default(), 1.0, (4.0, 10.0)) == 7.0
 
 
 def test_bisection_brackets_a_real_root():
@@ -312,10 +359,10 @@ def test_temperature_sweep_matches_pointwise_amplification():
 
 
 def test_an_error_inside_the_stencil_call_marks_every_point(monkeypatch):
-    def broken(cur):
+    def broken(*args):
         raise FloatingPointError("current has imaginary residue 1.000e-03")
 
-    monkeypatch.setattr(engine, "_real_currents", broken)
+    monkeypatch.setattr(engine, "_functionals", broken)
     sw = sweep(coarse(), "T_M", [5.0, 6.0, 7.5], t=0.5)
     assert sw.errors == \
         ["FloatingPointError: current has imaginary residue 1.000e-03"] * 3

@@ -45,8 +45,14 @@ def test_stages_of_a_tiny_sweep(tmp_path):
     assert [name for name, _ in stages] == [
         "interpreter start", "import numpy", "import qtransistor.cli",
         "after compute", "after the tables"]
-    peaks = [mb for _, mb in stages]
+    assert all(list(mb) == ["VmHWM", "RssAnon", "RssFile"]
+               for _, mb in stages)
+    peaks = [mb["VmHWM"] for _, mb in stages]
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    # the pages resident now are at most the peak, and some are of each kind
+    for _, mb in stages:
+        assert mb["RssAnon"] > 0.0 and mb["RssFile"] > 0.0
+        assert mb["RssAnon"] + mb["RssFile"] <= mb["VmHWM"] + 0.01
     lines = (tmp_path / "out" / "sweep_T_M.csv").read_text(
         encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2
@@ -60,6 +66,22 @@ def test_extra_pairs_are_set_after_the_workload_s_own(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(
         encoding="utf-8"))
     assert manifest["parameters"]["overrides"]["T_L"] == 3.5
+
+
+@needs_vmhwm
+def test_the_printed_table_has_a_column_per_field():
+    done = subprocess.run([sys.executable, str(SCRIPT), "temperature_sweep",
+                           "1"], capture_output=True, text=True, check=True)
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["stage", "(MB)", "VmHWM", "RssAnon",
+                              "RssFile"]
+    assert [row[:24].strip() for row in rows] == [
+        "interpreter start", "import numpy", "import qtransistor.cli",
+        "after compute", "after the tables"]
+    for row in rows:
+        peak, anon, mapped = (float(x) for x in row[24:].split())
+        # three values, each rounded to 0.01
+        assert anon + mapped <= peak + 0.02
 
 
 def test_usage_without_two_arguments():
