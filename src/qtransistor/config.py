@@ -21,9 +21,9 @@ Every value, whether from a document line, a ``--set key=value`` pair (any
 the [run] key of its name), is converted and domain-checked by one rule,
 ``_read_value``.  Pairs and flags beat the document's values, and every
 cross-field check (keys a [sweep] run would not read, the evaluation time,
-the epsilon-sweep kind, the combined model, sweep terminals the model
-lacks or that name the modulating one) then runs once, on the merged
-values.
+the epsilon-sweep kind, the combined model, a nonzero epsilon on an ancilla
+kind that does not read it, sweep terminals the model lacks or that name
+the modulating one) then runs once, on the merged values.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional,
 import numpy as np
 
 from . import metrics
+from .engine import BOUNDARY_SIDES
 from .model import COUPLING_PRESETS, ENV_KINDS, ModelConfig, TERMINALS
 from .nonmarkov import SearchConfig
 from .output import Table, sweep_table
@@ -146,7 +147,7 @@ _RUN_KEYS: Dict[str, _Key] = {
     "scenario": _ckey(scenario_names(), "unknown scenario; known: "),
     "out": _Key(str.strip, "string", bool, "must not be empty"),
     "workers": _ikey(lambda v: v >= 1, "must be >= 1"),
-    "boundary": _ckey(("left", "right")),
+    "boundary": _ckey(BOUNDARY_SIDES),
     "t": _fkey(*_POS),
     "t_max": _fkey(*_POS),
 }
@@ -384,6 +385,10 @@ def parse_config(text: str, sets: Sequence[str] = (), *,
         model = rc.resolved_model()  # combined-value checks (divisibility)
     except (ValueError, TypeError) as exc:
         raise ConfigError([f"{at('model')}model rejected: {exc}"]) from None
+    if model.env.epsilon != 0.0 and model.env.kind != "qutrit-nonlinear":
+        raise ConfigError([
+            f"{at('model', 'epsilon')}epsilon = {model.env.epsilon} is read "
+            f"only with kind = qutrit-nonlinear, not {model.env.kind}"])
     terminals = (sweep_spec and sweep_spec.terminals) or ()
     lacking = ", ".join(repr(x) for x in terminals
                         if x not in model.system_terminals)

@@ -11,12 +11,12 @@ every other term of the total Hamiltonian is diagonal, so every local
 parity P_X = sz_X (x) (-1)^m_X (``model.local_parities``) commutes with
 H_tot.  H_tot splits into the 2^n sectors of their joint eigenvalues,
 all of one size: 8 sectors of 27 at the default 216 joint dimensions.
-The sector blocks are filled straight from the entries of H_tot
-(``model.hamiltonian_entries``), all of them diagonalized in one call,
-and cached once per parameter set as eigenvalues w and eigenvectors V.
-Every entry of H_tot is real, and a core refuses one that is not, so w
-and V are real and the engine runs on real arithmetic: the window
-unitary at tau is
+The sector blocks are filled straight from the real entries of H_tot
+(``model.hamiltonian_entries``) and all diagonalized in one call, to
+eigenvalues w and eigenvectors V: a core, built by each chain or carry
+that reads it and freed with it.  A core refuses an entry with an
+imaginary part, so w and V are real and the engine runs on real
+arithmetic: the window unitary at tau is
 
     U = V diag(exp(-i tau w)) V^T = C - i S,
     C = V diag(cos tau w) V^T,   S = V diag(sin tau w) V^T,
@@ -101,7 +101,6 @@ search reads, so it holds no state history.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,7 +124,9 @@ def initial_state(n_qubits: int = 3) -> np.ndarray:
 
 
 class _Core:
-    """Spectral data shared by every run with the same H_tot.
+    """Spectral data of one H_tot, held by the ``Propagator`` or the
+    carry (``_carried_blocks``) that builds it, for every window, config
+    and phase row that reads it.
 
     H_tot commutes with each local parity P_X (``model.local_parities``),
     so it is diagonalized in the 2^n sectors of their joint eigenvalues.
@@ -144,7 +145,8 @@ class _Core:
         self.d_sys = 2 ** config.n_qubits
         self.terminals = config.system_terminals
         self.index, blocks = _sector_hamiltonian(config)
-        if np.any(blocks.imag):
+        # the .imag of a real array is a fresh array of zeros
+        if np.iscomplexobj(blocks) and np.any(blocks.imag):
             raise ValueError(
                 "H_tot has an entry with a nonzero imaginary part; the "
                 "engine runs on real spectra")
@@ -155,7 +157,8 @@ def _sector_hamiltonian(config: ModelConfig):
     """H_tot's parity-sector blocks, filled straight from
     ``model.hamiltonian_entries``: ``(index, blocks)`` with ``index[s]``
     the ascending joint indices of sector s, shape (d_sys, d_env), and
-    ``blocks[s] = H_tot[np.ix_(index[s], index[s])]``.
+    ``blocks[s] = H_tot[np.ix_(index[s], index[s])]``, of the entries'
+    dtype (float64 for the model's).
 
     A coupling entry whose two indices lie in different sectors would
     mix them, and is refused.
@@ -170,7 +173,8 @@ def _sector_hamiltonian(config: ModelConfig):
     position = np.empty(len(label), dtype=int)
     position[index] = np.arange(index.shape[1])
     # the sectors are sorted by label, so sector s holds label s
-    blocks = np.zeros(index.shape + index.shape[1:], dtype=np.complex128)
+    blocks = np.zeros(index.shape + index.shape[1:],
+                      dtype=np.result_type(diag, values))
     blocks[label, position, position] = diag
     blocks[label[rows], position[rows], position[cols]] = values
     return index, blocks
@@ -200,26 +204,9 @@ def _current_generators(core: _Core, config: ModelConfig) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_core(key: ModelConfig) -> _Core:
-    return _Core(key)
-
-
 def _without_temperatures(config: ModelConfig) -> ModelConfig:
     env = dataclasses.replace(config.env, T_L=1.0, T_M=1.0, T_R=1.0)
     return dataclasses.replace(config, env=env)
-
-
-def _core_for(config: ModelConfig) -> _Core:
-    """Shared core; temperatures and grids do not enter H_tot.
-
-    Those fields are pinned to fixed values in the cache key, so configs
-    that differ only there share one core, and any other difference is a
-    cache miss.
-    """
-    key = dataclasses.replace(_without_temperatures(config),
-                              dt_collision=1.0, sample_dt=1.0)
-    return _cached_core(key)
 
 
 def _mix(pieces: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -291,7 +278,7 @@ class Propagator:
             raise ValueError(
                 "the configs of one chain must differ only in bath "
                 "temperatures")
-        self.core = _core_for(shared)
+        self.core = _Core(shared)
         self.terminals = self.core.terminals
         # the fresh ancillas' populations (their state is diag(p)), then p'
         p = _populations(configs)
@@ -573,7 +560,7 @@ def _populations(configs) -> np.ndarray:
     has a derivative; it is 0 when that terminal is detached.
     """
     h = build_env_local_hamiltonian(configs[0].env)
-    e = np.diag(h).real
+    e = np.diag(h)
     if np.count_nonzero(h - np.diag(e)):
         raise ValueError("ancilla Hamiltonian is not diagonal")
     diagonals = {}
@@ -637,7 +624,7 @@ def _carried_blocks(config: ModelConfig, rho: np.ndarray,
                       dtype=np.complex128)
     starts[:, 0] = hermitized(rho[:, np.arange(d_sys), column])
     if n_col:
-        maps = _DifferenceMaps(_core_for(config), deltas,
+        maps = _DifferenceMaps(_Core(config), deltas,
                                _populations([config])[0])
         step = maps.at(config.dt_collision)
         for n in range(n_col):

@@ -28,15 +28,14 @@ COUPLING_PRESETS = ("baseline", "symmetric", "asymmetric", "appendixA")
 
 
 class SpinOps:
-    """Spin operators used by the builders (2x2 Pauli, 3x3 spin-1)."""
+    """Spin operators used by the builders (2x2 Pauli, 3x3 spin-1), all
+    real."""
 
-    sx_half = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    sz_half = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+    sx_half = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz_half = np.array([[1.0, 0.0], [0.0, -1.0]])
     # spin-1 ladder gives the 1/sqrt(2) off-diagonals
-    sx_one = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
-                      dtype=np.complex128) / np.sqrt(2.0)
-    sz_one = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]],
-                      dtype=np.complex128)
+    sx_one = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
+    sz_one = np.diag([1.0, 0.0, -1.0])
 
 
 for _m in (SpinOps.sx_half, SpinOps.sz_half, SpinOps.sx_one, SpinOps.sz_one):
@@ -244,7 +243,7 @@ def build_system_hamiltonian(coupling: CouplingConfig,
                              n_qubits: int = 3) -> np.ndarray:
     """Working-substance Hamiltonian on the bare qubits, a diagonal
     matrix; see ``system_energies``."""
-    return np.diag(system_energies(coupling, n_qubits)).astype(np.complex128)
+    return np.diag(system_energies(coupling, n_qubits))
 
 
 def build_env_local_hamiltonian(env: EnvSpec) -> np.ndarray:
@@ -257,12 +256,11 @@ def build_env_local_hamiltonian(env: EnvSpec) -> np.ndarray:
     qubit              -delta * sz  (spin-1/2)
     """
     if env.kind == "qutrit-linear":
-        return -env.delta * SpinOps.sz_one.copy()
+        return -env.delta * SpinOps.sz_one
     if env.kind == "qutrit-nonlinear":
-        return -np.diag([env.delta, env.epsilon, -env.delta]).astype(
-            np.complex128)
+        return -np.diag([env.delta, env.epsilon, -env.delta])
     if env.kind == "qubit":
-        return -env.delta * SpinOps.sz_half.copy()
+        return -env.delta * SpinOps.sz_half
     raise ValueError(f"unknown environment kind {env.kind!r}")
 
 
@@ -292,8 +290,9 @@ def local_parities(config: ModelConfig) -> np.ndarray:
 
 
 def hamiltonian_entries(config: ModelConfig):
-    """H_sys + sum of ancilla Hamiltonians + interaction, as the entries
-    of H_tot on the joint space: ``(diagonal, rows, cols, values)``.
+    """H_sys + sum of ancilla Hamiltonians + interaction, as the real
+    entries of H_tot on the joint space: ``(diagonal, rows, cols,
+    values)``.
 
     The diagonal is H_sys's diagonal plus each ancilla's level energy,
     read off the levels of each joint index.  Every other entry is one
@@ -310,14 +309,14 @@ def hamiltonian_entries(config: ModelConfig):
     levels = np.indices(dims).reshape(len(dims), -1)
     strides = d // np.cumprod(dims)
     diag = np.repeat(system_energies(config.coupling, n), d // 2 ** n)
-    e_env = np.diagonal(build_env_local_hamiltonian(config.env)).real
+    e_env = np.diagonal(build_env_local_hamiltonian(config.env))
     for k in range(len(config.attached_terminals)):
         diag += e_env[levels[n + k]]
 
     sx_env = SpinOps.sx_half if config.env.kind == "qubit" \
         else SpinOps.sx_one
     rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
-    values = [np.zeros(0, np.complex128)]
+    values = [np.zeros(0)]
     for k, t in enumerate(config.attached_terminals):
         q, slot = config.system_terminals.index(t), n + k
         # sx flips qubit q; Sx takes the ancilla from level m to m2
@@ -338,7 +337,7 @@ def build_total_hamiltonian(config: ModelConfig) -> np.ndarray:
     ``hamiltonian_entries``."""
     diag, rows, cols, values = hamiltonian_entries(config)
     d = len(diag)
-    h = np.zeros((d, d), dtype=np.complex128)
+    h = np.zeros((d, d))
     h[np.arange(d), np.arange(d)] = diag
     h[rows, cols] = values
     return h

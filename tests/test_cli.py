@@ -264,6 +264,28 @@ def test_sweep_terminals_the_model_lacks_are_rejected_before_running(
     assert capsys.readouterr().err == validated and not out.exists()
 
 
+def test_nonzero_epsilon_on_a_kind_that_ignores_it_is_rejected(
+        tmp_path, capsys):
+    # only the qutrit-nonlinear ancilla reads epsilon; any other kind
+    # would run without it and record it in the manifest
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "fig2", "--set", "epsilon=0.05",
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "invalid configuration:\n  epsilon = 0.05 is read only with "
+        "kind = qutrit-nonlinear, not qutrit-linear\n")
+    assert not out.exists()
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[run]\nscenario = fig2\n[model]\nkind = qubit\n"
+                     "epsilon = -0.01\n")
+    assert exc.value.problems == [
+        "line 5: epsilon = -0.01 is read only with kind = qutrit-nonlinear, "
+        "not qubit"]
+    for model in ("epsilon = 0.0", "kind = qubit\nepsilon = 0.0",
+                  "kind = qutrit-nonlinear\nepsilon = 0.05"):
+        parse_config(f"[run]\nscenario = fig2\n[model]\n{model}\n")
+
+
 def test_sweep_rejects_run_keys_it_would_not_read():
     with pytest.raises(ConfigError) as exc:
         parse_config(SWEEP_DOC.replace("t = 0.5\n", "t = 0.5\nt_max = 7.0\n"))

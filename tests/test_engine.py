@@ -1,7 +1,9 @@
 """Collision propagation against brute-force references."""
 
+import gc
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -300,27 +302,6 @@ def test_evolve_matches_brute_force_for_any_model(cfg):
         assert np.max(np.abs(traj.qubit_states[x] - ref)) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_models(), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
-       st.sampled_from((0.01, 0.05, 0.25)), st.sampled_from((0.5, 1.0)),
-       st.sampled_from((None, "g", "epsilon", "kind", "attach_R")))
-def test_cores_shared_exactly_across_temperatures_and_grids(
-        cfg, t_m, t_r, sample_dt, dt_collision, changed):
-    other = cfg.replace(T_M=t_m, T_R=t_r, sample_dt=sample_dt,
-                        dt_collision=dt_collision)
-    if changed == "g":
-        other = other.replace(g=cfg.g + 1.0)
-    elif changed == "epsilon":
-        other = other.replace(epsilon=cfg.env.epsilon + 0.5)
-    elif changed == "kind":
-        other = other.replace(
-            kind="qubit" if cfg.env.kind != "qubit" else "qutrit-linear")
-    elif changed == "attach_R":
-        other = other.replace(attach_R=not cfg.env.attach_R)
-    same = Propagator([cfg], [0]).core is Propagator([other], [0]).core
-    assert same == (changed is None)
-
-
 # ------------------------------------------- sampled currents, window channel
 
 CHANNEL_MODELS = {
@@ -379,7 +360,7 @@ def test_stacked_sector_spectra_equal_the_per_block_ones(name):
         alone = la.hermitian_eig(block)
         assert np.array_equal(alone.eigenvalues, w_block)
         assert np.array_equal(alone.eigenvectors, v_block)
-    broken = blocks.copy()
+    broken = blocks.astype(np.complex128)
     broken[-1, -1, 0] += 1e-6j  # one entry of one block only
     with pytest.raises(ValueError, match="not Hermitian"):
         la.hermitian_eig(broken)
@@ -457,7 +438,6 @@ def test_every_engine_eigh_gets_a_real_stack(monkeypatch):
         return eig(h)
 
     monkeypatch.setattr(engine, "hermitian_eig", recorded)
-    engine._cached_core.cache_clear()
     cfg = coarse()
     for result in (sweep(cfg, "g", [3.9, 4.1], t=1.0),
                    sweep(cfg, "T_M", [5.0, 7.5], t=1.0)):
@@ -465,8 +445,34 @@ def test_every_engine_eigh_gets_a_real_stack(monkeypatch):
     sample_states(cfg.replace(g=3.7), [None], 1.0)
     engine.sample_marginals(cfg.replace(g=3.6), [None], [1], 1.0)
     assert dtypes == [np.dtype(np.float64)] * 5
-    core = engine._core_for(cfg)
+    core = engine._Core(cfg)
     assert core.w.dtype == core.v.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ENV_KINDS)
+@pytest.mark.parametrize("n_qubits", (2, 3))
+def test_hamiltonian_data_is_real(kind, n_qubits):
+    cfg = coarse(kind=kind, n_qubits=n_qubits,
+                 epsilon=0.05 if kind == "qutrit-nonlinear" else 0.0)
+    assert model.hamiltonian_entries(cfg)[3].dtype == np.float64
+    assert _sector_hamiltonian(cfg)[1].dtype == np.float64
+
+
+def test_no_core_outlives_its_call(monkeypatch):
+    # a core lives as long as the chain or carry that reads it
+    built, init = [], _Core.__init__
+
+    def recorded(self, config):
+        init(self, config)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Core, "__init__", recorded)
+    cfg = coarse()
+    assert not any(sweep(cfg, "g", [3.9, 4.1], t=1.0).errors)
+    engine.sample_marginals(cfg, [None], [1], 1.0)
+    gc.collect()
+    assert len(built) == 3
+    assert all(core() is None for core in built)
 
 
 def test_engine_paths_never_build_the_dense_hamiltonian(monkeypatch):
@@ -485,7 +491,6 @@ def test_engine_paths_never_build_the_dense_hamiltonian(monkeypatch):
         return eig(h)
 
     monkeypatch.setattr(engine, "hermitian_eig", recorded)
-    engine._cached_core.cache_clear()
     cfg = coarse()
     for result in (sweep(cfg, "g", [3.9, 4.1], t=1.0),
                    sweep(cfg, "T_M", [5.0, 7.5], t=1.0)):

@@ -1,7 +1,6 @@
 """Trace-distance backflow detection on the reduced qubit dynamics."""
 
 import dataclasses
-import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -237,16 +236,16 @@ def test_late_backflow_needs_the_direct_left_right_coupling(preset):
         assert not late.any(), (terminal, res.times[1:][late])
 
 
-@functools.lru_cache(maxsize=None)
 def bloch_grid(n_theta, n_phi):
-    """Bloch vectors of an n_theta x n_phi grid on the whole sphere, shared
-    by every caller and therefore read-only."""
-    grid = np.array([
-        BlochState(th, ph).bloch_vector
-        for th in np.linspace(0.0, math.pi, n_theta)
-        for ph in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)])
-    grid.flags.writeable = False
-    return grid
+    """Bloch vectors of an n_theta x n_phi grid on the whole sphere, row
+    by row in theta, shape (n_theta * n_phi, 3)."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, n_theta),
+        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+        indexing="ij")
+    return np.stack([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=-1).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("preset,terminal",
@@ -350,7 +349,6 @@ def test_series_memory_does_not_grow_with_directions_times_samples():
     # 60 cutoffs over 601 samples: a (481 directions x 601 samples) scan
     # table alone is 2.3 MB, and the whole search held 21.6 MB at once
     cfg = ModelConfig.default()
-    engine._core_for(cfg)  # the shared core is built here
     cutoffs = np.round(np.arange(1, 61) / 10.0, 10)
     tracemalloc.start()
     try:
