@@ -153,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
-        # setup-stage rejection outside the parser (bad grid, bad terminal)
+        # setup-stage rejection outside the parser (bad grid, forced key)
         print(f"invalid run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -49,6 +49,9 @@ DIVERGENCE_TOL = 1e-8
 # temperatures at which find_critical_TM reads its bracket, ends included
 CRITICAL_SCAN_POINTS = 65
 
+# bisection rounds find_critical_TM runs at most
+CRITICAL_MAX_ITER = 40
+
 SWEEP_AXES = ("T_M", "t", "g", "epsilon")
 
 
@@ -129,11 +132,11 @@ def current_at(
     return float(cur[0, 0, config.system_terminals.index(terminal)])
 
 
-def _alpha(dJX, dJM, divergence_tol: float) -> np.ndarray:
-    """dJX / dJM elementwise, NaN where |dJM| < divergence_tol or a NaN."""
+def _alpha(dJX, dJM) -> np.ndarray:
+    """dJX / dJM elementwise, NaN where |dJM| < DIVERGENCE_TOL or a NaN."""
     dJX, dJM = np.asarray(dJX, dtype=float), np.asarray(dJM, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(dJM) < divergence_tol, np.nan, dJX / dJM)
+        return np.where(np.abs(dJM) < DIVERGENCE_TOL, np.nan, dJX / dJM)
 
 
 def amplification(
@@ -141,7 +144,6 @@ def amplification(
     t: float,
     terminal: str,
     *,
-    divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
 ) -> AmplificationResult:
     """alpha_X(t) from the exact derivatives dJ/dT_mod of one
@@ -154,7 +156,7 @@ def amplification(
     _, deriv = sample_tangents([config], [t], boundary)
     index = config.system_terminals.index
     dJX, dJM = (float(deriv[0, 0, index(x)]) for x in (terminal, mod))
-    alpha = float(_alpha(dJX, dJM, divergence_tol))
+    alpha = float(_alpha(dJX, dJM))
     return AmplificationResult(terminal, t, alpha, dJX, dJM, math.isnan(alpha))
 
 
@@ -164,7 +166,6 @@ def find_critical_TM(
     bracket: Tuple[float, float],
     *,
     tol: float = 1e-3,
-    max_iter: int = 40,
     boundary: str = "left",
 ) -> float:
     """Temperature of the modulating bath where dJ_mod/dT crosses zero.
@@ -193,7 +194,7 @@ def find_critical_TM(
     sign = np.sign(f)
     change = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     a, b, f_a = grid[change], grid[change + 1], f[change]
-    for _ in range(max_iter):
+    for _ in range(CRITICAL_MAX_ITER):
         if not change.size or 0.5 * np.max(b - a) < tol:
             break
         mid = 0.5 * (a + b)
@@ -236,7 +237,6 @@ def sweep(
     terminals: Optional[Sequence[str]] = None,
     *,
     t: Optional[float] = None,
-    divergence_tol: float = DIVERGENCE_TOL,
     boundary: str = "left",
 ) -> SweepResult:
     """Amplification and currents along one parameter axis.
@@ -299,6 +299,5 @@ def sweep(
                 for i in batch:
                     errors[i] = f"{type(exc).__name__}: {exc}"
 
-    alphas = {x: _alpha(derivatives[x], derivatives[mod], divergence_tol)
-              for x in terminals}
+    alphas = {x: _alpha(derivatives[x], derivatives[mod]) for x in terminals}
     return SweepResult(axis, grid, currents, derivatives, alphas, errors)

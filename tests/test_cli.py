@@ -521,6 +521,109 @@ def test_registry_names():
     assert all(SCENARIOS[n].description for n in scenario_names())
 
 
+# every table of every scenario at its default grid, in build order:
+# (stem, header line, row count)
+SCENARIO_TABLES = {
+    "fig2": [("fig2", "# T_M(T̃),J_L(ħ/t̃²),J_M(ħ/t̃²),J_R(ħ/t̃²),"
+              "dJL_dTM(ħ/(t̃²·T̃)),dJM_dTM(ħ/(t̃²·T̃)),dJR_dTM(ħ/(t̃²·T̃)),"
+              "error", 25)],
+    "fig3": [("fig3", "# T_M(T̃),alpha_L[g=3.5](dimensionless),"
+              "alpha_L[g=4.0](dimensionless),alpha_L[g=4.5](dimensionless),"
+              "error", 25)],
+    "fig4": [("fig4", "# t(t̃),alpha_L(dimensionless),"
+              "alpha_R(dimensionless),error", 500)],
+    "fig5": [("fig5", "# g(1/t̃),alpha_L(dimensionless),"
+              "alpha_R(dimensionless),error", 101)],
+    "fig6": [("fig6", "# t(t̃),alpha_L[right-detached](dimensionless),"
+              "alpha_R[right-detached](dimensionless),"
+              "alpha_L[left-detached](dimensionless),"
+              "alpha_R[left-detached](dimensionless),error", 300)],
+    "fig7": [("fig7", "# g(1/t̃),alpha_L[right-detached](dimensionless),"
+              "alpha_R[right-detached](dimensionless),"
+              "alpha_L[left-detached](dimensionless),"
+              "alpha_R[left-detached](dimensionless),error", 101)],
+    "fig8": [("fig8_temperature",
+              "# T_M(T̃),alpha_L[symmetric](dimensionless),"
+              "alpha_R[symmetric](dimensionless),"
+              "alpha_L[asymmetric](dimensionless),"
+              "alpha_R[asymmetric](dimensionless),error", 47),
+             ("fig8_time", "# t(t̃),alpha_L[symmetric](dimensionless),"
+              "alpha_R[symmetric](dimensionless),"
+              "alpha_L[asymmetric](dimensionless),"
+              "alpha_R[asymmetric](dimensionless),error", 300)],
+    "fig9": [("fig9", "# T_M(T̃),alpha_L[linear](dimensionless),"
+              "alpha_L[eps=0.01](dimensionless),"
+              "alpha_L[eps=0.03](dimensionless),"
+              "alpha_L[eps=0.05](dimensionless),"
+              "alpha_L[eps=-0.01](dimensionless),"
+              "alpha_L[eps=-0.03](dimensionless),"
+              "alpha_L[eps=-0.05](dimensionless),error", 25)],
+    "fig10": [("fig10", "# t(t̃),alpha_L[linear](dimensionless),"
+               "alpha_L[eps=-0.01](dimensionless),"
+               "alpha_L[eps=0.01](dimensionless),error", 300)],
+    "fig11": [(f"fig11_{preset}", "# T_M(T̃),alpha_L[linear](dimensionless),"
+               "alpha_L[eps=-0.01](dimensionless),"
+               "alpha_L[eps=0.01](dimensionless),error", 47)
+              for preset in ("symmetric", "asymmetric")],
+    "fig12": [(f"fig12_{preset}", "# t(t̃),N_L(dimensionless),"
+               "N_M(dimensionless),N_R(dimensionless),error", 30)
+              for preset in ("baseline", "symmetric", "asymmetric")],
+    "fig13": [("fig13_time", "# t(t̃),alpha_L(dimensionless),"
+               "alpha_R(dimensionless),error", 1000),
+              ("fig13_temperature", "# T_M(T̃),alpha_L(dimensionless),"
+               "alpha_R(dimensionless),error", 33)],
+    "appendixA": [("appendixA", "# T_L(T̃),J_L(ħ/t̃²),J_R(ħ/t̃²),"
+                   "dJL_dTL(ħ/(t̃²·T̃)),dJR_dTL(ħ/(t̃²·T̃)),"
+                   "alpha(dimensionless),error", 77)],
+}
+
+
+def test_every_scenario_table_keeps_its_stem_header_and_rows():
+    assert list(SCENARIO_TABLES) == scenario_names()
+    assert sum(map(len, SCENARIO_TABLES.values())) == 18
+    for name, expected in SCENARIO_TABLES.items():
+        tables = build_tables(name)
+        got = [(tb.stem, render_table(tb).split("\n", 1)[0], len(tb.rows))
+               for tb in tables]
+        assert got == expected, name
+        assert not any(tb.failed for tb in tables), name
+
+
+def test_a_forced_key_set_otherwise_is_refused_before_any_sweep(
+        tmp_path, capsys, monkeypatch):
+    # the scenario runs its own value of a key it forces, so a different
+    # user value would be dropped: the run is refused and writes nothing
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "fig9",
+                     "--set", "kind=qutrit-nonlinear", "--set", "epsilon=0.05",
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "invalid run: kind = qutrit-nonlinear conflicts with the scenario's "
+        "kind = qutrit-linear; epsilon = 0.05 conflicts with the scenario's "
+        "epsilon = 0.0\n")
+    assert not out.exists()
+    assert cli.main(["run", "--scenario", "fig3", "--set", "g=3.7",
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "invalid run: g = 3.7 conflicts with the scenario's g = 3.5\n")
+    assert not out.exists()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(metrics, "sweep", no_sweep)
+    refused = (("fig6", {"attach_R": True}), ("fig7", {"attach_L": True}),
+               ("fig10", {"kind": "qutrit-linear"}),
+               ("fig11", {"kind": "qutrit-nonlinear", "epsilon": 0.01}))
+    for name, over in refused:
+        with pytest.raises(ValueError, match="conflicts with the scenario's"):
+            build_tables(name, over)
+    # a value equal to the forced one on every curve that forces it is no
+    # conflict: the left-detached curve of fig6 forces attach_L = False
+    with pytest.raises(AssertionError, match="a sweep ran"):
+        build_tables("fig6", {"attach_L": False})
+
+
 # ------------------------------------------------------------------- CLI
 
 def test_scenarios_subcommand(capsys):

@@ -114,9 +114,10 @@ def test_amplification_rejects_modulating_and_unknown_terminal():
         amplification(cfg, 0.5, "X")
 
 
-def test_divergence_marker_is_a_value():
+def test_divergence_marker_is_a_value(monkeypatch):
     # an absurdly large tolerance forces the marker path
-    r = amplification(coarse(), 0.5, "L", divergence_tol=1e9)
+    monkeypatch.setattr(metrics, "DIVERGENCE_TOL", 1e9)
+    r = amplification(coarse(), 0.5, "L")
     assert r.diverged and math.isnan(r.alpha)
     assert math.isfinite(r.dJX_dTM) and math.isfinite(r.dJM_dTM)
 
@@ -417,9 +418,11 @@ def test_epsilon_sweep_requires_nonlinear_ancillas():
     assert ok.errors == ["", ""] and np.isfinite(ok.alphas["L"]).all()
 
 
-def test_diverged_points_inside_a_sweep_read_nan_without_an_error():
+def test_diverged_points_inside_a_sweep_read_nan_without_an_error(
+        monkeypatch):
     # an absurdly large tolerance marks every alpha as diverged
-    sw = sweep(coarse(), "T_M", [5.0, 6.0], t=0.5, divergence_tol=1e9)
+    monkeypatch.setattr(metrics, "DIVERGENCE_TOL", 1e9)
+    sw = sweep(coarse(), "T_M", [5.0, 6.0], t=0.5)
     assert all(np.isnan(a).all() for a in sw.alphas.values())
     for column in (*sw.currents.values(), *sw.derivatives.values()):
         assert np.isfinite(column).all()
